@@ -110,13 +110,9 @@ TraceArena sharded_workload() {
   return make_synthetic_arena(specs, mins(2), 31);
 }
 
-/// A shorter cut of the same traffic shape for the sync-strategy matrix.
-/// Optimistic sync pays a full control-plane checkpoint per speculative
-/// window and re-executes rolled-back work, so on this message-dense
-/// cluster workload it is expected to run far behind conservative sync
-/// (the crossover experiment in EXPERIMENTS.md maps where it wins); the
-/// matrix exists to prove byte-identical results under every strategy x
-/// placement combination, and a short trace proves that just as well.
+/// A shorter cut of the same traffic shape for the placement matrix, which
+/// exists to prove byte-identical results under every placement x shard
+/// count combination; a short trace proves that just as well.
 TraceArena matrix_workload() {
   std::vector<SyntheticFunctionSpec> specs;
   Rng rng(23);
@@ -136,16 +132,11 @@ struct ShardedOut {
   double wall_s = 0.0;
   std::uint64_t completed = 0;
   std::uint64_t windows = 0;
-  std::uint64_t spec_windows = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t anti_messages = 0;
-  std::uint64_t wasted_events = 0;
   std::uint64_t messages = 0;
   std::string fingerprint;  // report JSON: the equivalence witness
 };
 
-ShardedOut run_sharded(std::size_t nshards, SyncConfig sync, Placement place,
-                       EventView view,
+ShardedOut run_sharded(std::size_t nshards, Placement place, EventView view,
                        const std::vector<FunctionProfile>& functions) {
   ClusterConfig cfg;
   cfg.num_workers = 32;
@@ -156,12 +147,11 @@ ShardedOut run_sharded(std::size_t nshards, SyncConfig sync, Placement place,
   // A 1 ms RPC floor (datacenter-across-racks rather than same-rack) gives
   // 5x the default lookahead: windows are 5x wider, so each shard executes
   // 5x more events between barriers. Lookahead is *the* scaling lever of
-  // conservative parallel simulation; the optimistic engine instead bets
-  // speculation-many lookaheads ahead and rolls back on stragglers.
+  // conservative parallel simulation.
   cfg.rpc = LatencyModel::shifted(msecs(1.0),
                                   LatencyModel::lognormal(usecs(100), 0.4));
 
-  ShardedRuntime srt(nshards, cfg.rpc.lower_bound(), sync);
+  ShardedRuntime srt(nshards, cfg.rpc.lower_bound());
   Cluster cluster(srt, cfg);
   for (const auto& f : functions) cluster.register_function(f);
   cluster.start();
@@ -187,88 +177,9 @@ ShardedOut run_sharded(std::size_t nshards, SyncConfig sync, Placement place,
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
   out.completed = d.results().size();
   out.windows = srt.windows();
-  out.spec_windows = srt.speculative_windows();
-  out.rollbacks = srt.rollbacks();
-  out.anti_messages = srt.anti_messages();
-  out.wasted_events = srt.wasted_events();
   out.messages = srt.messages();
   out.fingerprint = rep.to_json().dump();
   return out;
-}
-
-/// Optimistic-engine acceptance: a 2-shard actor system with a tiny
-/// lookahead where shard 0 legally (strict sender future) sends a message
-/// that lands in shard 1's already-speculated past. The run must (a) commit
-/// at least one rollback and (b) produce exactly the event sequence of a
-/// serial merge of both shards' timelines. Side effects (the logs) are
-/// protected by user-registered Snapshotters — the same mechanism the
-/// worker control plane uses.
-bool rollback_stress() {
-  using Entry = std::pair<std::int64_t, int>;  // (virtual µs, actor id)
-  // static so the local Ticker class below may name them.
-  static constexpr int kMsgActor = 99;
-  static constexpr std::int64_t kTickUs = 10;
-  static constexpr std::int64_t kEndUs = 6000;
-  static constexpr std::int64_t kSendAtUs = 3000;
-
-  // Ground truth: both timelines merged on one serial runtime.
-  std::vector<Entry> want;
-  for (std::int64_t t = 0; t <= kEndUs; t += kTickUs) want.push_back({t, 1});
-  want.push_back({kSendAtUs + 1, kMsgActor});
-  std::sort(want.begin(), want.end());
-
-  SyncConfig sync;
-  sync.strategy = SyncStrategy::kOptimistic;
-  sync.speculation = 64.0;
-  ShardedRuntime srt(2, usecs(100), sync);
-
-  std::vector<Entry> log;  // written only by shard 1's thread
-  srt.shard(1).add_snapshotter(Snapshotter{
-      [&log]() -> std::shared_ptr<void> {
-        return std::make_shared<std::size_t>(log.size());
-      },
-      [&log](const std::shared_ptr<void>& blob) {
-        log.resize(*static_cast<const std::size_t*>(blob.get()));
-      }});
-
-  struct Ticker {
-    ShardedRuntime* srt;
-    std::vector<Entry>* log;
-    void operator()() const {
-      SimRuntime& rt = srt->shard(1);
-      std::int64_t t = rt.now().count();
-      log->push_back({t, 1});
-      if (t + kTickUs <= kEndUs) rt.schedule(usecs(kTickUs), Ticker{*this});
-    }
-  };
-  srt.shard(1).schedule(Duration::zero(), Ticker{&srt, &log});
-  srt.shard(0).schedule(usecs(kSendAtUs), [&srt, &log] {
-    // A strict-future send (sender clock + 1 µs) that is far inside the
-    // receiver's speculation horizon: guaranteed straggler.
-    srt.send(0, 1, TimePoint{kSendAtUs + 1}, /*tag=*/7, [&log, &srt] {
-      log.push_back({srt.shard(1).now().count(), kMsgActor});
-    });
-  });
-  srt.run_until(TimePoint{kEndUs + 100});
-
-  bool ok = true;
-  if (srt.rollbacks() == 0) {
-    std::printf("stress: expected >= 1 committed rollback, got 0\n");
-    ok = false;
-  }
-  if (log != want) {
-    std::printf("stress: event sequence diverged from the serial merge "
-                "(%zu entries vs %zu expected)\n",
-                log.size(), want.size());
-    ok = false;
-  }
-  std::printf("rollback stress: %llu rollbacks, %llu anti-messages, "
-              "%llu wasted events, sequence %s\n",
-              (unsigned long long)srt.rollbacks(),
-              (unsigned long long)srt.anti_messages(),
-              (unsigned long long)srt.wasted_events(),
-              log == want ? "identical to serial merge" : "DIVERGED");
-  return ok;
 }
 
 }  // namespace
@@ -312,8 +223,6 @@ int main(int argc, char** argv) {
       "locality (more forwarding, more cold starts) for balance.\n");
 
   std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
-  std::vector<SyncStrategy> syncs = {SyncStrategy::kConservative,
-                                     SyncStrategy::kOptimistic};
   std::vector<Placement> placements = {Placement::kRoundRobin,
                                        Placement::kLocality};
   std::string arena_path;
@@ -324,16 +233,6 @@ int main(int argc, char** argv) {
                                         : std::vector<std::size_t>{1, n};
     } else if (std::strcmp(argv[i], "--arena") == 0) {
       arena_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--sync") == 0) {
-      const std::string v = argv[i + 1];
-      if (v == "conservative") syncs = {SyncStrategy::kConservative};
-      else if (v == "optimistic") syncs = {SyncStrategy::kOptimistic};
-      else if (v == "auto") syncs = {SyncStrategy::kAuto};
-      else {
-        std::fprintf(stderr,
-                     "error: --sync must be conservative|optimistic|auto\n");
-        return 1;
-      }
     } else if (std::strcmp(argv[i], "--placement") == 0) {
       const std::string v = argv[i + 1];
       if (v == "roundrobin") placements = {Placement::kRoundRobin};
@@ -346,14 +245,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  banner("Time-parallel simulation — 32 workers, pluggable sync strategies");
-  std::printf("%8s %-13s %-11s %10s %8s %9s %6s %6s %8s %9s %6s\n", "shards",
-              "sync", "placement", "wall s", "speedup", "windows", "spec",
-              "rollbk", "anti", "completed", "equal");
+  banner("Time-parallel simulation — 32 workers, conservative windows");
+  std::printf("%8s %-11s %10s %8s %9s %9s %6s\n", "shards", "placement",
+              "wall s", "speedup", "windows", "completed", "equal");
   CsvWriter scsv(results_dir() + "/cluster_sharded.csv");
-  scsv.row("trace", "shards", "sync", "placement", "wall_s", "speedup",
-           "windows", "spec_windows", "rollbacks", "anti_messages",
-           "wasted_events", "messages", "completed", "equivalent");
+  scsv.row("trace", "shards", "placement", "wall_s", "speedup", "windows",
+           "messages", "completed", "equivalent");
 
   TraceArena synth;
   std::unique_ptr<ArenaFile> file;
@@ -376,61 +273,46 @@ int main(int argc, char** argv) {
     functions = &synth.functions;
   }
 
-  auto print_row = [&scsv](const char* trace, std::size_t s, const char* sync,
+  auto print_row = [&scsv](const char* trace, std::size_t s,
                            const char* place, const ShardedOut& o,
                            double baseline_wall, bool equal) {
     const double speedup = o.wall_s > 0.0 ? baseline_wall / o.wall_s : 0.0;
-    std::printf("%8zu %-13s %-11s %10.3f %8.2f %9llu %6llu %6llu %8llu "
-                "%9llu %6s\n",
-                s, sync, place, o.wall_s, speedup,
-                (unsigned long long)o.windows,
-                (unsigned long long)o.spec_windows,
-                (unsigned long long)o.rollbacks,
-                (unsigned long long)o.anti_messages,
+    std::printf("%8zu %-11s %10.3f %8.2f %9llu %9llu %6s\n", s, place,
+                o.wall_s, speedup, (unsigned long long)o.windows,
                 (unsigned long long)o.completed, equal ? "yes" : "NO");
-    scsv.row(trace, s, sync, place, o.wall_s, speedup, o.windows,
-             o.spec_windows, o.rollbacks, o.anti_messages, o.wasted_events,
-             o.messages, o.completed, equal ? 1 : 0);
+    scsv.row(trace, s, place, o.wall_s, speedup, o.windows, o.messages,
+             o.completed, equal ? 1 : 0);
   };
 
-  // Headline scaling sweep: conservative windows on the full trace (the
+  // Headline scaling sweep: the full trace, round-robin placement (the
   // configuration whose wall time the speedup story is about).
-  auto base = run_sharded(1, SyncConfig{}, Placement::kRoundRobin, view,
-                          *functions);
+  auto base = run_sharded(1, Placement::kRoundRobin, view, *functions);
   bool all_equal = true;
-  print_row("full", 1, "serial", "-", base, base.wall_s, true);
+  print_row("full", 1, "-", base, base.wall_s, true);
   for (std::size_t s : shard_counts) {
     if (s == 1) continue;
-    auto o = run_sharded(s, SyncConfig{}, Placement::kRoundRobin, view,
-                         *functions);
+    auto o = run_sharded(s, Placement::kRoundRobin, view, *functions);
     const bool equal = o.fingerprint == base.fingerprint;
     all_equal = all_equal && equal;
-    print_row("full", s, "conservative", "roundrobin", o, base.wall_s, equal);
+    print_row("full", s, "roundrobin", o, base.wall_s, equal);
   }
 
-  // Strategy x placement equivalence matrix on the short trace: every
-  // combination must reproduce the serial report byte for byte.
-  banner("Sync-strategy x placement matrix — byte-identical reports");
-  std::printf("%8s %-13s %-11s %10s %8s %9s %6s %6s %8s %9s %6s\n", "shards",
-              "sync", "placement", "wall s", "speedup", "windows", "spec",
-              "rollbk", "anti", "completed", "equal");
+  // Placement matrix on the short trace: every combination must reproduce
+  // the one-shard report byte for byte.
+  banner("Placement matrix — byte-identical reports");
+  std::printf("%8s %-11s %10s %8s %9s %9s %6s\n", "shards", "placement",
+              "wall s", "speedup", "windows", "completed", "equal");
   TraceArena matrix = matrix_workload();
   EventView mview(matrix);
-  auto mbase = run_sharded(1, SyncConfig{}, Placement::kRoundRobin, mview,
-                           matrix.functions);
-  print_row("matrix", 1, "serial", "-", mbase, mbase.wall_s, true);
-  for (SyncStrategy sync : syncs) {
-    for (Placement place : placements) {
-      for (std::size_t s : shard_counts) {
-        if (s == 1) continue;  // covered by the serial reference
-        SyncConfig sc;
-        sc.strategy = sync;
-        auto o = run_sharded(s, sc, place, mview, matrix.functions);
-        const bool equal = o.fingerprint == mbase.fingerprint;
-        all_equal = all_equal && equal;
-        print_row("matrix", s, to_string(sync), to_string(place), o,
-                  mbase.wall_s, equal);
-      }
+  auto mbase = run_sharded(1, Placement::kRoundRobin, mview, matrix.functions);
+  print_row("matrix", 1, "-", mbase, mbase.wall_s, true);
+  for (Placement place : placements) {
+    for (std::size_t s : shard_counts) {
+      if (s == 1) continue;  // covered by the one-shard reference
+      auto o = run_sharded(s, place, mview, matrix.functions);
+      const bool equal = o.fingerprint == mbase.fingerprint;
+      all_equal = all_equal && equal;
+      print_row("matrix", s, to_string(place), o, mbase.wall_s, equal);
     }
   }
   if (!all_equal) {
@@ -439,15 +321,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  banner("Optimistic engine — rollback stress (small lookahead)");
-  if (!rollback_stress()) {
-    std::printf("\nERROR: optimistic rollback stress failed.\n");
-    return 1;
-  }
-
   std::printf(
-      "\nEvery sync strategy, placement, and shard count produced a\n"
-      "byte-identical report; speedups only materialize with as many free\n"
-      "cores as shards.\n");
+      "\nEvery placement and shard count produced a byte-identical report;\n"
+      "speedups only materialize with as many free cores as shards.\n");
   return 0;
 }

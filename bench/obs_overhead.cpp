@@ -69,11 +69,11 @@ double ns_per_record(bool enabled, int iters) {
   return wall_us(t0, t1) * 1e3 / iters;
 }
 
-/// Nanoseconds per counter-inc + histogram-observe pair.
+/// Nanoseconds per counter-inc + log-histogram-observe pair.
 double ns_per_metric_update(int iters) {
   MetricsRegistry reg;
   Counter* c = reg.counter("bench.counter");
-  Histogram* h = reg.histogram("bench.hist", 1.0, 64);
+  LogHistogram* h = reg.log_histogram("bench.hist");
   auto t0 = Clock::now();
   for (int i = 0; i < iters; ++i) {
     c->inc();
@@ -155,7 +155,7 @@ int main() {
   std::printf("%-44s %+9.1f %%\n", "tracing-enabled delta", delta_pct);
   std::printf("%-44s %10.1f ns\n", "tracer record() (enabled)", rec_on_ns);
   std::printf("%-44s %10.1f ns\n", "tracer record() (disabled)", rec_off_ns);
-  std::printf("%-44s %10.1f ns\n", "counter inc + histogram observe",
+  std::printf("%-44s %10.1f ns\n", "counter inc + log-histogram observe",
               metric_ns);
   std::printf("%-44s %10.1f ns\n", "flight record() (enabled)", flight_on_ns);
   std::printf("%-44s %10.1f ns\n", "flight record() (disabled)",

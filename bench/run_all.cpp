@@ -8,31 +8,31 @@
 //
 // --smoke shrinks every input to seconds-scale (wired into ctest under the
 // `perf` label as the bench_smoke target); the full run is minutes-scale.
+// `commit` is `git describe --always --dirty` of the source tree, taken when
+// the run starts ("unknown" outside a git checkout).
 //
 // Schema (ilu-bench-core-v1): {"schema", "runs": [{label, utc, host_threads,
-// smoke, engine:{events_per_sec, schedule_run_events_per_sec,
-// schedule_cancel_ops_per_sec, queue_push_pop_ops_per_sec,
-// pool_acquire_return_ops_per_sec}, pool_churn:{slab_ops_per_sec,
-// pointer_ops_per_sec, speedup}, trace_gen:{functions, events,
-// aos_events_per_sec, arena_events_per_sec}, trace_replay:{functions,
-// events, chunks, gen_events_per_sec, replay_events_per_sec, equivalent},
-// cluster_scaling:{shards,
-// completed, wall_s_serial, wall_s_sharded, speedup, equivalent, sync,
-// wall_s_optimistic, spec_windows, rollbacks, anti_messages, rollback_rate},
+// build_type, commit, smoke, engine:{events_per_sec,
+// schedule_run_events_per_sec, schedule_cancel_ops_per_sec,
+// queue_push_pop_ops_per_sec, pool_acquire_return_ops_per_sec},
+// pool_churn:{slab_ops_per_sec, pointer_ops_per_sec, speedup},
+// trace_gen:{functions, events, aos_events_per_sec, arena_events_per_sec},
+// trace_replay:{functions, events, chunks, gen_events_per_sec,
+// replay_events_per_sec, equivalent}, cluster_scaling:{shards, completed,
+// wall_s_serial, wall_s_sharded, speedup, equivalent,
+// dispatch_per_invocation, memory_requeues},
 // fig4_sweep:{cells, threads, wall_s_1thread, wall_s_nthreads, speedup},
 // lint:{files, findings, wall_s, checks}, obs:{recorder_ns_per_event,
 // recorder_disabled_ns_per_event, hist_ns_per_record}}]}.
-// Fields are only ever added, never renamed, so downstream tooling can diff
-// runs across PRs. Note: on a 1-core CI host cluster_scaling.speedup < 1 by
-// construction (barriers with no parallel hardware); `equivalent` is the
-// load-bearing field there. Likewise wall_s_optimistic > wall_s_sharded by
-// construction on this message-dense cluster trace (nearly every speculative
-// window rolls back); rollback_rate pins the worst case for the crossover
-// analysis in EXPERIMENTS.md.
+// Fields are never renamed, so downstream tooling can diff runs across PRs;
+// fields of a deleted subsystem go with it (CHANGES.md lists which). Note:
+// without free cores cluster_scaling.speedup < 1 by construction (barriers
+// with no parallel hardware); `equivalent` is the load-bearing field there.
 
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
@@ -458,24 +458,17 @@ struct ClusterShardTiming {
   double wall_s_sharded = 0.0;
   double speedup = 0.0;
   bool equivalent = false;
-  /// Same scenario under SyncStrategy::kOptimistic at the same shard count.
-  /// Cluster traffic is message-dense, so nearly every speculative window
-  /// catches a straggler: the optimistic wall time trails conservative by
-  /// construction here (checkpoints + re-execution), and the rollback rate
-  /// quantifies it. Tracked so the crossover (EXPERIMENTS.md) has a pinned
-  /// worst-case data point per PR.
-  double wall_s_optimistic = 0.0;
-  std::uint64_t spec_windows = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t anti_messages = 0;
-  double rollback_rate = 0.0;  ///< rollbacks per speculative window
+  /// Worker::dispatch calls (spawn_worker spans) per completed invocation,
+  /// and parked invocations re-queued on memory release: the memory-park
+  /// retry storm, which makes most dispatches futile on this trace.
+  double dispatch_per_invocation = 0.0;
+  std::uint64_t memory_requeues = 0;
 };
 
-/// Tentpole record: the 16-worker cluster scenario on 1 shard vs N shards,
-/// then the N-shard run again under optimistic (Time Warp) sync. On a
-/// 1-core host every sharded run is slower than serial (barrier overhead
-/// with no parallel hardware) — `equivalent` is the field CI cares about;
-/// wall times only become a speedup with >= `shards` free cores.
+/// The 16-worker cluster scenario on 1 shard vs N shards. On a 1-core host
+/// every sharded run is slower than serial (barrier overhead with no
+/// parallel hardware) — `equivalent` is the field CI cares about; wall
+/// times only become a speedup with >= `shards` free cores.
 ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
   std::vector<SyntheticFunctionSpec> specs;
   Rng rng(23);
@@ -490,7 +483,7 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
   }
   auto arena = make_synthetic_arena(specs, smoke ? secs(10) : secs(45), 31);
 
-  auto run_once = [&](std::size_t nshards, SyncConfig sync, double* wall_s,
+  auto run_once = [&](std::size_t nshards, double* wall_s,
                       ClusterShardTiming* stats) {
     ClusterConfig cfg;
     cfg.num_workers = 16;
@@ -499,7 +492,7 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
     cfg.worker.memory_mb = 8 * 1024;
     cfg.rpc = LatencyModel::shifted(msecs(1.0),
                                     LatencyModel::lognormal(usecs(100), 0.4));
-    ShardedRuntime srt(nshards, cfg.rpc.lower_bound(), sync);
+    ShardedRuntime srt(nshards, cfg.rpc.lower_bound());
     Cluster cluster(srt, cfg);
     for (const auto& f : arena.functions) cluster.register_function(f);
     cluster.start();
@@ -514,14 +507,17 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
     *wall_s = seconds_since(t0);
     cluster.shutdown();
     if (stats != nullptr) {
-      stats->spec_windows = srt.speculative_windows();
-      stats->rollbacks = srt.rollbacks();
-      stats->anti_messages = srt.anti_messages();
-      stats->rollback_rate =
-          stats->spec_windows > 0
-              ? static_cast<double>(stats->rollbacks) /
-                    static_cast<double>(stats->spec_windows)
-              : 0.0;
+      std::uint64_t dispatches = 0;
+      for (std::size_t i = 0; i < cluster.num_workers(); ++i) {
+        Worker& w = cluster.worker(i);
+        dispatches += w.tracer().count(spans::kSpawnWorker);
+        stats->memory_requeues +=
+            w.metrics().counter("worker.memory_requeues")->value();
+      }
+      stats->dispatch_per_invocation =
+          d.results().empty() ? 0.0
+                              : static_cast<double>(dispatches) /
+                                    static_cast<double>(d.results().size());
     }
     std::vector<std::string> names;
     for (const auto& f : arena.functions) names.push_back(f.name);
@@ -532,27 +528,17 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
 
   ClusterShardTiming out;
   out.shards = std::max<std::size_t>(2, std::min<std::size_t>(threads, 4));
-  SyncConfig conservative;  // default strategy
-  SyncConfig optimistic;
-  optimistic.strategy = SyncStrategy::kOptimistic;
-  auto [serial_fp, completed] =
-      run_once(1, conservative, &out.wall_s_serial, nullptr);
+  auto [serial_fp, completed] = run_once(1, &out.wall_s_serial, &out);
   auto [sharded_fp, completed2] =
-      run_once(out.shards, conservative, &out.wall_s_sharded, nullptr);
-  auto [optimistic_fp, completed3] =
-      run_once(out.shards, optimistic, &out.wall_s_optimistic, &out);
+      run_once(out.shards, &out.wall_s_sharded, nullptr);
   out.completed = completed;
-  out.equivalent = serial_fp == sharded_fp && completed == completed2 &&
-                   serial_fp == optimistic_fp && completed == completed3;
+  out.equivalent = serial_fp == sharded_fp && completed == completed2;
   out.speedup = out.wall_s_sharded > 0.0
                     ? out.wall_s_serial / out.wall_s_sharded
                     : 0.0;
   if (!out.equivalent) {
     std::fprintf(stderr,
-                 "FATAL: sharded cluster diverged from serial report "
-                 "(conservative match: %d, optimistic match: %d)\n",
-                 serial_fp == sharded_fp ? 1 : 0,
-                 serial_fp == optimistic_fp ? 1 : 0);
+                 "FATAL: sharded cluster diverged from serial report\n");
     std::exit(1);
   }
   return out;
@@ -792,11 +778,32 @@ LintTiming lint_tree_timing() {
   return out;
 }
 
+/// The source tree's `git describe --always --dirty`, or "unknown" when git
+/// is missing or the tree is not a checkout.
+std::string source_commit() {
+  const std::string cmd = "git -C '" + std::string(ILU_SOURCE_DIR) +
+                          "' describe --always --dirty 2>/dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "unknown";
+  std::string out;
+  std::array<char, 128> buf{};
+  while (std::fgets(buf.data(), static_cast<int>(buf.size()), pipe) !=
+         nullptr) {
+    out += buf.data();
+  }
+  const int rc = pclose(pipe);
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return rc == 0 && !out.empty() ? out : "unknown";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string label = "run";
   std::string out_path = "BENCH_core.json";
+  const std::string commit = source_commit();
   bool smoke = false;
   unsigned threads = exp::threads_from_args(argc, argv);
   for (int i = 1; i < argc; ++i) {
@@ -855,13 +862,10 @@ int main(int argc, char** argv) {
               static_cast<int>(36 - 26 - std::to_string(cs.shards).size()), "",
               cs.wall_s_sharded);
   std::printf("%-36s %12.2fx\n", "cluster sim sharded speedup", cs.speedup);
-  std::printf("%-36s %12.2f s\n", "cluster sim wall (optimistic)",
-              cs.wall_s_optimistic);
-  std::printf("%-36s %12llu / %llu windows\n", "cluster sim rollbacks",
-              static_cast<unsigned long long>(cs.rollbacks),
-              static_cast<unsigned long long>(cs.spec_windows));
-  std::printf("%-36s %12.2f\n", "cluster sim rollback rate",
-              cs.rollback_rate);
+  std::printf("%-36s %12.2f\n", "cluster sim dispatches / invocation",
+              cs.dispatch_per_invocation);
+  std::printf("%-36s %12llu\n", "cluster sim memory requeues",
+              static_cast<unsigned long long>(cs.memory_requeues));
   std::printf("%-36s %12s\n", "cluster sim reports equivalent",
               cs.equivalent ? "yes" : "NO");
 
@@ -912,6 +916,8 @@ int main(int argc, char** argv) {
   run["utc"] = utc_now_string();
   run["host_threads"] =
       static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  run["build_type"] = std::string(ILU_BUILD_TYPE);
+  run["commit"] = commit;
   run["smoke"] = smoke;
   JsonObject engine;
   engine["events_per_sec"] = ev;
@@ -946,12 +952,8 @@ int main(int argc, char** argv) {
   cluster["wall_s_sharded"] = cs.wall_s_sharded;
   cluster["speedup"] = cs.speedup;
   cluster["equivalent"] = cs.equivalent;
-  cluster["sync"] = std::string("conservative+optimistic");
-  cluster["wall_s_optimistic"] = cs.wall_s_optimistic;
-  cluster["spec_windows"] = cs.spec_windows;
-  cluster["rollbacks"] = cs.rollbacks;
-  cluster["anti_messages"] = cs.anti_messages;
-  cluster["rollback_rate"] = cs.rollback_rate;
+  cluster["dispatch_per_invocation"] = cs.dispatch_per_invocation;
+  cluster["memory_requeues"] = cs.memory_requeues;
   run["cluster_scaling"] = cluster;
   JsonObject fig4;
   fig4["cells"] = static_cast<std::uint64_t>(sweep.cells);

@@ -75,13 +75,6 @@ class ContainerBackend {
   /// Tear down a sandbox (runs off the critical path).
   virtual void destroy_container(VoidCb cb) = 0;
 
-  /// Checkpoint hooks for speculative (Time Warp) execution: capture /
-  /// reinstate whatever internal state the backend mutates per call (RNG
-  /// stream, counters, snapshot registry). Backends with no rollback
-  /// support return null and ignore load_state; in-flight latency timers
-  /// are the runtime's problem, not the backend's.
-  virtual std::shared_ptr<void> save_state() const { return nullptr; }
-  virtual void load_state(const std::shared_ptr<void>& s) { (void)s; }
 };
 
 /// Discrete-event backend: create/destroy are latency samples, execution is
@@ -104,11 +97,7 @@ class SimContainerBackend final : public ContainerBackend {
   std::uint64_t create_failures() const { return create_failures_; }
   std::uint64_t snapshot_restores() const { return snapshot_restores_; }
 
-  std::shared_ptr<void> save_state() const override;
-  void load_state(const std::shared_ptr<void>& s) override;
-
  private:
-  struct State;
   Runtime& rt_;
   CpuModel& cpu_;
   Rng rng_;

@@ -123,45 +123,6 @@ bool CpuModel::cancel(TaskId id) {
   return true;
 }
 
-CpuModel::State CpuModel::save_state() const {
-  State s;
-  for (const auto& [id, t] : tasks_) {
-    RunningTask copy;
-    copy.remaining = t.remaining;
-    copy.weight = t.weight;
-    copy.rate = t.rate;
-    copy.on_complete = t.on_complete.clone();
-    s.tasks.emplace(id, std::move(copy));
-  }
-  s.next_id = next_id_;
-  s.total_weight = total_weight_;
-  s.last_advance = last_advance_;
-  s.completion_timer = completion_timer_;
-  s.load_avg = load_avg_;
-  s.load_updated = load_updated_;
-  return s;
-}
-
-void CpuModel::load_state(const State& s) {
-  // Clone rather than move: the same checkpoint blob must survive the
-  // restore (the Snapshotter API hands it back by const reference).
-  tasks_.clear();
-  for (const auto& [id, t] : s.tasks) {
-    RunningTask copy;
-    copy.remaining = t.remaining;
-    copy.weight = t.weight;
-    copy.rate = t.rate;
-    copy.on_complete = t.on_complete.clone();
-    tasks_.emplace(id, std::move(copy));
-  }
-  next_id_ = s.next_id;
-  total_weight_ = s.total_weight;
-  last_advance_ = s.last_advance;
-  completion_timer_ = s.completion_timer;
-  load_avg_ = s.load_avg;
-  load_updated_ = s.load_updated;
-}
-
 Duration CpuModel::estimate(double work_seconds, double weight) const {
   double w = total_weight_ + weight;
   double rate = w <= cores_ ? weight : weight * cores_ / w;

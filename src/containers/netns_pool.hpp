@@ -44,32 +44,6 @@ class NetnsPool {
   std::uint64_t critical_path_creates() const { return on_demand_creates_; }
   std::uint64_t pooled_serves() const { return pooled_serves_; }
 
-  /// Checkpointable state for speculative (Time Warp) execution. In-flight
-  /// refill timers live in the runtime's event heap and are restored with
-  /// it; `refill_scheduled` keeps the flag consistent with that heap.
-  struct State {
-    Rng rng;
-    std::size_t available = 0;
-    std::uint64_t next_id = 1;
-    TimePoint lock_free_at{};
-    bool refill_scheduled = false;
-    std::uint64_t on_demand_creates = 0;
-    std::uint64_t pooled_serves = 0;
-  };
-  State save_state() const {
-    return State{rng_, available_, next_id_, lock_free_at_,
-                 refill_scheduled_, on_demand_creates_, pooled_serves_};
-  }
-  void load_state(const State& s) {
-    rng_ = s.rng;
-    available_ = s.available;
-    next_id_ = s.next_id;
-    lock_free_at_ = s.lock_free_at;
-    refill_scheduled_ = s.refill_scheduled;
-    on_demand_creates_ = s.on_demand_creates;
-    pooled_serves_ = s.pooled_serves;
-  }
-
  private:
   /// Serialize a creation through the modeled global lock; returns the
   /// completion time of this creation.

@@ -168,15 +168,6 @@ class Worker {
     TransactionId tx = 0;
     SpanId root = kNoSpan;
   };
-  /// Full control-plane checkpoint for speculative (Time Warp) execution:
-  /// every per-event mutable member of the worker and its components, minus
-  /// wiring (config, latency models, instrument pointers) and the span
-  /// tracer (observability-only; spans recorded during a rolled-back window
-  /// are a documented skew, DESIGN.md §16). Registered with the runtime in
-  /// the constructor; a no-op on runtimes without snapshot support.
-  struct Snapshot;
-  void register_snapshotter();
-
   /// Generation-checked reference to an in-flight invocation in the pending
   /// slab (DESIGN.md §11); continuations capture this 8-byte value instead
   /// of a shared_ptr, so the steady-state invoke path never touches the
@@ -228,6 +219,9 @@ class Worker {
     Counter* failures = nullptr;
     Counter* bypassed = nullptr;
     Counter* prewarms = nullptr;
+    /// Parked invocations re-queued by on_memory_released: every release
+    /// re-queues every invocation parked in cold_start for lack of memory.
+    Counter* memory_requeues = nullptr;
     Gauge* inflight = nullptr;
     /// Log-bucketed: queue waits and overheads span µs (bypass hits) to
     /// seconds (cold-start storms); fixed-width buckets flatten that tail.
@@ -249,6 +243,9 @@ class Worker {
   PendingStore pending_;
   /// Invocations that could not reserve memory; retried when memory frees.
   std::vector<PendingHandle> waiting_memory_;
+  /// on_memory_released swaps the parked list into this buffer and
+  /// re-queues from it, so neither buffer is reallocated per release.
+  std::vector<PendingHandle> requeue_;
   /// Mean execution-time inflation of recent completions (AIMD's optional
   /// congestion signal: actual execution / expected uncontended execution).
   MovingWindow recent_stretch_{32};

@@ -4,8 +4,6 @@
 
 #include "obs/flight.hpp"
 
-// ilu-lint: speculative-zone(flight, metrics) - the flight ring is mark()/rewind() bracketed per speculative window; ContainerPool::State round-trips the gauges via load_state()'s sync_metrics()
-
 namespace ilu {
 
 ContainerPool::ContainerPool(Runtime& rt, KeepAlivePolicy& policy, Config cfg,
@@ -293,37 +291,6 @@ bool ContainerPool::validate(std::string* why) const {
   }
   if (listed != idle) return fail("idle lists do not cover all idle containers");
   return true;
-}
-
-ContainerPool::State ContainerPool::save_state() const {
-  State s;
-  s.prewarmed_idle = prewarmed_idle_;
-  s.capacity_mb = capacity_mb_;
-  s.used_mb = used_mb_;
-  s.next_id = next_id_;
-  s.store = store_.snapshot();
-  s.idle_head = idle_head_;
-  s.rank = rank_;
-  s.running = running_;
-  s.sweep_timer = sweep_timer_;
-  s.evictions = evictions_;
-  s.expirations = expirations_;
-  return s;
-}
-
-void ContainerPool::load_state(const State& s) {
-  prewarmed_idle_ = s.prewarmed_idle;
-  capacity_mb_ = s.capacity_mb;
-  used_mb_ = s.used_mb;
-  next_id_ = s.next_id;
-  store_.restore(s.store);
-  idle_head_ = s.idle_head;
-  rank_ = s.rank;
-  running_ = s.running;
-  sweep_timer_ = s.sweep_timer;
-  evictions_ = s.evictions;
-  expirations_ = s.expirations;
-  sync_metrics();
 }
 
 }  // namespace ilu

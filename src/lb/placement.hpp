@@ -9,8 +9,7 @@
 /// cross-shard messages are keyed by (deliver time, tag), shard-count- and
 /// placement-independent by construction — but it decides how many LB↔worker
 /// and forwarding hops cross a shard boundary, i.e. how much mailbox traffic
-/// the synchronization engine must reconcile at every barrier (and, under
-/// the optimistic engine, how many messages can become stragglers).
+/// the sharded runtime must reconcile at every window barrier.
 namespace ilu {
 
 enum class Placement {

@@ -61,22 +61,6 @@ JsonValue metrics_json(const MetricsSnapshot& snap) {
   for (const auto& [name, v] : snap.gauges) {
     gauges[name] = JsonValue(static_cast<std::int64_t>(v));
   }
-  JsonObject histograms;
-  for (const auto& [name, h] : snap.histograms) {
-    JsonArray buckets;
-    buckets.reserve(h.buckets.size());
-    for (std::uint64_t b : h.buckets) buckets.emplace_back(b);
-    JsonObject hj;
-    hj["bucket_width"] = JsonValue(h.bucket_width);
-    hj["buckets"] = JsonValue(std::move(buckets));
-    hj["count"] = JsonValue(h.count);
-    hj["sum"] = JsonValue(h.sum);
-    hj["mean"] = JsonValue(h.mean);
-    hj["saturated"] = JsonValue(h.saturated);
-    hj["overflow_count"] = JsonValue(h.overflow_count);
-    hj["overflow_max"] = JsonValue(h.overflow_max);
-    histograms[name] = JsonValue(std::move(hj));
-  }
   JsonObject log_histograms;
   for (const auto& [name, h] : snap.log_histograms) {
     JsonObject hj;
@@ -96,7 +80,6 @@ JsonValue metrics_json(const MetricsSnapshot& snap) {
   JsonObject doc;
   doc["counters"] = JsonValue(std::move(counters));
   doc["gauges"] = JsonValue(std::move(gauges));
-  doc["histograms"] = JsonValue(std::move(histograms));
   doc["log_histograms"] = JsonValue(std::move(log_histograms));
   return JsonValue(std::move(doc));
 }
@@ -115,13 +98,6 @@ void write_metrics_csv(const MetricsSnapshot& snap, const std::string& path) {
   }
   for (const auto& [name, v] : snap.gauges) {
     w.row("gauge", name, "value", v);
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    w.row("histogram", name, "count", h.count);
-    w.row("histogram", name, "sum", h.sum);
-    w.row("histogram", name, "mean", h.mean);
-    w.row("histogram", name, "saturated", h.saturated ? 1 : 0);
-    w.row("histogram", name, "overflow_max", h.overflow_max);
   }
   for (const auto& [name, h] : snap.log_histograms) {
     w.row("log_histogram", name, "count", h.count);

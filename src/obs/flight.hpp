@@ -109,18 +109,6 @@ class Ring {
   /// Reader-side reset (tests): drops all records, keeps the ring.
   void clear() { head_.store(0, std::memory_order_release); }
 
-  /// Writer-thread only: current head sequence, usable with rewind() to
-  /// discard records stamped after this point.
-  std::uint64_t mark() const { return head_.load(std::memory_order_relaxed); }
-
-  /// Writer-thread only: roll the ring back to a mark() taken earlier on
-  /// this thread, erasing every record stamped in between — the optimistic
-  /// sharded engine's telemetry rollback (DESIGN.md §16). Best-effort once
-  /// the ring has lapped past the mark (> capacity records in between): the
-  /// head still rewinds, and the resurrected older slots are the lapped
-  /// survivors — same fidelity loss overwrite-oldest already implies.
-  void rewind(std::uint64_t m) { head_.store(m, std::memory_order_release); }
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> w0{0};
@@ -207,20 +195,6 @@ inline void record(std::uint64_t ts_us, Ev code, std::uint32_t arg) {
 /// Convenience overload taking the runtime TimePoint directly.
 inline void record(TimePoint ts, Ev code, std::uint32_t arg) {
   record(static_cast<std::uint64_t>(ts.count()), code, arg);
-}
-
-/// Mark the calling thread's ring position for a later rewind(). Returns 0
-/// when recording is disabled (rewind(0) with recording still disabled is a
-/// no-op, so the pair composes either way).
-inline std::uint64_t mark() {
-  Recorder& r = Recorder::instance();
-  return r.enabled() ? r.local_ring().mark() : 0;
-}
-/// Erase every record the calling thread stamped since `m = mark()` —
-/// speculative-window rollback support. Calling-thread-only, like record().
-inline void rewind(std::uint64_t m) {
-  Recorder& r = Recorder::instance();
-  if (r.enabled()) r.local_ring().rewind(m);
 }
 
 // --------------------------------------------------------------------------

@@ -26,67 +26,6 @@ void atomic_min(std::atomic<std::int64_t>& a, std::int64_t v) {
 
 }  // namespace
 
-Histogram::Histogram(double bucket_width, std::size_t num_buckets)
-    : width_(bucket_width > 0.0 ? bucket_width : 1.0),
-      buckets_(num_buckets > 0 ? num_buckets : 1) {}
-
-void Histogram::observe(double x) {
-  std::size_t i = 0;
-  if (x > 0.0) {
-    double b = std::floor(x / width_);
-    i = b >= static_cast<double>(buckets_.size() - 1)
-            ? buckets_.size() - 1
-            : static_cast<std::size_t>(b);
-  }
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_micro_.fetch_add(static_cast<std::int64_t>(x * 1e6),
-                       std::memory_order_relaxed);
-  if (x >= width_ * static_cast<double>(buckets_.size())) {
-    overflow_count_.fetch_add(1, std::memory_order_relaxed);
-    atomic_max(overflow_max_micro_, static_cast<std::int64_t>(x * 1e6));
-  }
-}
-
-double Histogram::sum() const {
-  return static_cast<double>(sum_micro_.load(std::memory_order_relaxed)) /
-         1e6;
-}
-
-double Histogram::mean() const {
-  std::uint64_t n = count();
-  return n ? sum() / static_cast<double>(n) : 0.0;
-}
-
-double Histogram::overflow_max() const {
-  return saturated()
-             ? static_cast<double>(
-                   overflow_max_micro_.load(std::memory_order_relaxed)) /
-                   1e6
-             : 0.0;
-}
-
-double Histogram::quantile_upper_bound(double q) const {
-  std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(n)));
-  if (target == 0) target = 1;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += bucket(i);
-    if (seen >= target) {
-      double upper = width_ * static_cast<double>(i + 1);
-      // The final bucket of a saturated histogram has no honest upper edge;
-      // the exact overflow max is the tight bound.
-      if (i + 1 == buckets_.size() && saturated()) return overflow_max();
-      return upper;
-    }
-  }
-  return saturated() ? overflow_max()
-                     : width_ * static_cast<double>(buckets_.size());
-}
-
 LogHistogram::LogHistogram(double min_value, double max_value,
                            unsigned subbucket_bits)
     : min_(min_value > 0.0 ? min_value : kDefaultMin),
@@ -184,56 +123,6 @@ void LogHistogram::reset() {
                    std::memory_order_relaxed);
 }
 
-Histogram::State Histogram::save_state() const {
-  State s;
-  s.buckets.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    s.buckets.push_back(b.load(std::memory_order_relaxed));
-  }
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum_micro = sum_micro_.load(std::memory_order_relaxed);
-  s.overflow_count = overflow_count_.load(std::memory_order_relaxed);
-  s.overflow_max_micro = overflow_max_micro_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Histogram::load_state(const State& s) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].store(i < s.buckets.size() ? s.buckets[i] : 0,
-                      std::memory_order_relaxed);
-  }
-  count_.store(s.count, std::memory_order_relaxed);
-  sum_micro_.store(s.sum_micro, std::memory_order_relaxed);
-  overflow_count_.store(s.overflow_count, std::memory_order_relaxed);
-  overflow_max_micro_.store(s.overflow_max_micro, std::memory_order_relaxed);
-}
-
-LogHistogram::State LogHistogram::save_state() const {
-  State s;
-  s.buckets.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    s.buckets.push_back(b.load(std::memory_order_relaxed));
-  }
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum_micro = sum_micro_.load(std::memory_order_relaxed);
-  s.overflow_count = overflow_count_.load(std::memory_order_relaxed);
-  s.min_micro = min_micro_.load(std::memory_order_relaxed);
-  s.max_micro = max_micro_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void LogHistogram::load_state(const State& s) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].store(i < s.buckets.size() ? s.buckets[i] : 0,
-                      std::memory_order_relaxed);
-  }
-  count_.store(s.count, std::memory_order_relaxed);
-  sum_micro_.store(s.sum_micro, std::memory_order_relaxed);
-  overflow_count_.store(s.overflow_count, std::memory_order_relaxed);
-  min_micro_.store(s.min_micro, std::memory_order_relaxed);
-  max_micro_.store(s.max_micro, std::memory_order_relaxed);
-}
-
 Counter* MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
   auto& slot = counters_[name];
@@ -248,15 +137,6 @@ Gauge* MetricsRegistry::gauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::histogram(const std::string& name,
-                                      double bucket_width,
-                                      std::size_t num_buckets) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(bucket_width, num_buckets);
-  return slot.get();
-}
-
 LogHistogram* MetricsRegistry::log_histogram(const std::string& name,
                                              double min_value,
                                              double max_value) {
@@ -266,60 +146,11 @@ LogHistogram* MetricsRegistry::log_histogram(const std::string& name,
   return slot.get();
 }
 
-MetricsRegistry::Values MetricsRegistry::save_values() const {
-  Values v;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [name, c] : counters_) v.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) v.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    v.histograms[name] = h->save_state();
-  }
-  for (const auto& [name, h] : log_histograms_) {
-    v.log_histograms[name] = h->save_state();
-  }
-  return v;
-}
-
-void MetricsRegistry::restore_values(const Values& v) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [name, val] : v.counters) {
-    auto it = counters_.find(name);
-    if (it != counters_.end()) it->second->reset_to(val);
-  }
-  for (const auto& [name, val] : v.gauges) {
-    auto it = gauges_.find(name);
-    if (it != gauges_.end()) it->second->set(val);
-  }
-  for (const auto& [name, s] : v.histograms) {
-    auto it = histograms_.find(name);
-    if (it != histograms_.end()) it->second->load_state(s);
-  }
-  for (const auto& [name, s] : v.log_histograms) {
-    auto it = log_histograms_.find(name);
-    if (it != log_histograms_.end()) it->second->load_state(s);
-  }
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot s;
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& [name, c] : counters_) s.counters[name] = c->value();
   for (const auto& [name, g] : gauges_) s.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramData d;
-    d.bucket_width = h->bucket_width();
-    d.buckets.reserve(h->num_buckets());
-    for (std::size_t i = 0; i < h->num_buckets(); ++i) {
-      d.buckets.push_back(h->bucket(i));
-    }
-    d.count = h->count();
-    d.sum = h->sum();
-    d.mean = h->mean();
-    d.saturated = h->saturated();
-    d.overflow_count = h->overflow_count();
-    d.overflow_max = h->overflow_max();
-    s.histograms[name] = std::move(d);
-  }
   for (const auto& [name, h] : log_histograms_) {
     MetricsSnapshot::LogHistogramData d;
     d.count = h->count();

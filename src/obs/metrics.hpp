@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
-/// Live metrics: thread-safe counters, gauges, and bucketed histograms with
-/// cheap relaxed-atomic updates, collected in a name-keyed registry.
+/// Live metrics: thread-safe counters, gauges, and log-bucketed histograms
+/// with cheap relaxed-atomic updates, collected in a name-keyed registry.
 ///
 /// Registration (looking an instrument up by name) takes a mutex and is a
 /// cold-path operation — components resolve their instruments once at wiring
@@ -22,12 +22,9 @@
 /// loads: values are individually coherent, not a consistent cut (fine for
 /// status lines and end-of-run dumps).
 ///
-/// Two histogram shapes:
-///   Histogram     fixed-width buckets — legacy; kept for instruments whose
-///                 range is genuinely known and narrow.
-///   LogHistogram  HDR-style log-bucketed (octave × subbucket) — the default
-///                 for latencies, honest p50/p99/p999 over µs→s with bounded
-///                 relative error and a deterministic merge (DESIGN.md §12).
+/// LogHistogram is HDR-style log-bucketed (octave × subbucket): honest
+/// p50/p99/p999 over µs→s with bounded relative error and a deterministic
+/// merge (DESIGN.md §12).
 namespace ilu {
 
 /// Monotonically increasing event count.
@@ -35,9 +32,6 @@ class Counter {
  public:
   void inc(std::uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  /// Rollback restore only (MetricsRegistry::restore_values): rewinding a
-  /// speculative window is the one sanctioned way a counter moves backwards.
-  void reset_to(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -53,67 +47,6 @@ class Gauge {
 
  private:
   std::atomic<std::int64_t> v_{0};
-};
-
-/// Fixed-width bucketed histogram over [0, width * buckets); values past the
-/// end land in the final bucket, negatives in the first. Each observation is
-/// two relaxed atomic adds (bucket + sum) — no lock, no allocation.
-///
-/// Values at or past the nominal range additionally bump an overflow count
-/// and an exact overflow maximum, and mark the histogram `saturated` — so a
-/// high quantile landing in the final bucket reports the true observed max
-/// instead of silently flattening at the bucket upper bound.
-class Histogram {
- public:
-  Histogram(double bucket_width, std::size_t num_buckets);
-
-  void observe(double x);
-
-  double bucket_width() const { return width_; }
-  std::size_t num_buckets() const { return buckets_.size(); }
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const;
-  double mean() const;
-  /// Upper edge of the bucket containing quantile q (q in (0, 1]); 0 when
-  /// empty. When the target lands in the final bucket of a saturated
-  /// histogram, returns the exact overflow maximum.
-  double quantile_upper_bound(double q) const;
-
-  /// Observations at or past width * num_buckets.
-  std::uint64_t overflow_count() const {
-    return overflow_count_.load(std::memory_order_relaxed);
-  }
-  /// True when any observation exceeded the nominal range.
-  bool saturated() const { return overflow_count() > 0; }
-  /// Largest overflowing observation (0 when none).
-  double overflow_max() const;
-
-  /// Full mutable state, for speculative-window save/restore
-  /// (MetricsRegistry::save_values). Geometry (width, bucket count) is not
-  /// part of the state — it is immutable after construction.
-  struct State {
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    std::int64_t sum_micro = 0;
-    std::uint64_t overflow_count = 0;
-    std::int64_t overflow_max_micro = 0;
-  };
-  State save_state() const;
-  void load_state(const State& s);
-
- private:
-  double width_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  /// Sum in fixed-point (micro-units) so it can be a relaxed integer add.
-  std::atomic<std::int64_t> sum_micro_{0};
-  std::atomic<std::uint64_t> overflow_count_{0};
-  std::atomic<std::int64_t> overflow_max_micro_{0};
 };
 
 /// HDR-style log-bucketed histogram over [min_value, max_value): each
@@ -132,7 +65,7 @@ class Histogram {
 /// Exact observed min/max are kept via CAS so p0/p100 (and saturated p99s)
 /// are exact, not bucket edges. Values below min_value clamp into bucket 0;
 /// values at or past max_value are tracked as overflow with an exact max
-/// (`saturated()`), mirroring Histogram.
+/// (`saturated()`).
 ///
 /// merge() is a pure integer element-wise add (plus CAS min/max), hence
 /// commutative and associative: merging per-shard histograms yields the same
@@ -205,18 +138,6 @@ class LogHistogram {
   /// between sweep stages, after each stage has drained).
   void reset();
 
-  /// Full mutable state, for speculative-window save/restore
-  /// (MetricsRegistry::save_values). Geometry is immutable and excluded.
-  struct State {
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    std::int64_t sum_micro = 0;
-    std::uint64_t overflow_count = 0;
-    std::int64_t min_micro = 0;
-    std::int64_t max_micro = 0;
-  };
-  State save_state() const;
-  void load_state(const State& s);
 
  private:
   /// Pure bucket index for x in [0, max_value). Underflow and NaN clamp to
@@ -248,16 +169,6 @@ class LogHistogram {
 
 /// Point-in-time copy of every instrument in a registry.
 struct MetricsSnapshot {
-  struct HistogramData {
-    double bucket_width = 0.0;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    bool saturated = false;
-    std::uint64_t overflow_count = 0;
-    double overflow_max = 0.0;
-  };
   /// Scalars only: the ~900 raw buckets stay on the live instrument; the
   /// snapshot carries the digested tail shape every exporter wants.
   struct LogHistogramData {
@@ -275,7 +186,6 @@ struct MetricsSnapshot {
   };
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, HistogramData> histograms;
   std::map<std::string, LogHistogramData> log_histograms;
 };
 
@@ -286,39 +196,20 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Find-or-create by name. Returned pointers remain valid until the
-  /// registry is destroyed. histogram()/log_histogram() with a name that
-  /// already exists returns the existing instrument (its geometry wins).
+  /// registry is destroyed. log_histogram() with a name that already exists
+  /// returns the existing instrument (its geometry wins).
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
-  Histogram* histogram(const std::string& name, double bucket_width,
-                       std::size_t num_buckets);
   LogHistogram* log_histogram(const std::string& name,
                               double min_value = LogHistogram::kDefaultMin,
                               double max_value = LogHistogram::kDefaultMax);
 
   MetricsSnapshot snapshot() const;
 
-  /// All mutable instrument state, keyed by name — the registry's
-  /// speculative-window checkpoint payload (DESIGN.md §16). Unlike
-  /// MetricsSnapshot (a digest for exporters), Values round-trips exactly.
-  struct Values {
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, std::int64_t> gauges;
-    std::map<std::string, Histogram::State> histograms;
-    std::map<std::string, LogHistogram::State> log_histograms;
-  };
-  Values save_values() const;
-  /// Restore every instrument named in `v` to its saved state. Instruments
-  /// created after the save keep their current values — registration is a
-  /// wiring-time act, so a speculative window never creates instruments,
-  /// and any it might observe into are rewound by name here.
-  void restore_values(const Values& v);
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<LogHistogram>> log_histograms_;
 };
 

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "runtime/task.hpp"
 #include "util/time.hpp"
@@ -22,22 +20,9 @@
 /// shared only among callbacks.
 namespace ilu {
 
-/// Checkpoint hook for components that keep rollback-relevant state outside
-/// the event heap (DESIGN.md §16). A component registers one Snapshotter per
-/// runtime it lives on; a checkpointable runtime (SimRuntime) calls `save`
-/// at every checkpoint and `restore` — with the matching blob, in
-/// registration order — on rollback. The blob is opaque to the runtime;
-/// components typically stash a by-value copy of their mutable state.
-/// Runtimes without checkpoint support ignore registrations entirely, so
-/// registering is always safe. The registering component must outlive every
-/// checkpoint taken from the runtime (all are discarded when a sharded run
-/// returns, so object-graph teardown order is unaffected).
-struct Snapshotter {
-  // ilu-lint: allow(std-function-hotpath) - invoked once per checkpoint window, never on the per-event path
-  std::function<std::shared_ptr<void>()> save;
-  // ilu-lint: allow(std-function-hotpath) - invoked only on rollback, never on the per-event path
-  std::function<void(const std::shared_ptr<void>&)> restore;
-};
+/// Empty: kept only because perfbench/src/bench.hpp overrides
+/// Runtime::add_snapshotter(Snapshotter).
+struct Snapshotter {};
 
 class Runtime {
  public:
@@ -50,13 +35,8 @@ class Runtime {
 
   virtual ~Runtime() = default;
 
-  /// Register a component state checkpoint hook. Default: discard — only
-  /// runtimes that can actually checkpoint (supports_snapshot()) keep the
-  /// hooks, so components register unconditionally and pay nothing under
-  /// RealRuntime.
+  /// No-ops: kept only because perfbench/src/bench.hpp overrides them.
   virtual void add_snapshotter(Snapshotter) {}
-  /// True when this runtime records snapshotters and can checkpoint/restore
-  /// (SimRuntime; used by the optimistic sharded engine).
   virtual bool supports_snapshot() const { return false; }
 
   /// Current time since the runtime epoch.

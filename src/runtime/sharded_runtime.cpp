@@ -1,25 +1,61 @@
 #include "runtime/sharded_runtime.hpp"
-// ilu-lint: atomics-floor(relaxed) - horizon_/events_/straggler_min_/mode_ are per-shard slots published between barriers; the barrier (shard_sync.hpp) supplies the ordering
+// ilu-lint: atomics-floor(relaxed) - horizon_/events_ are per-shard slots published between barriers; the SpinBarrier supplies the ordering
+// ilu-lint: atomics-floor(acquire: gen_) - the barrier generation publishes every shard's pre-barrier writes; its bump is acq_rel, waiters spin on acquire
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <thread>
 
 #include "obs/flight.hpp"
 
 namespace ilu {
 
-using shard_sync::kIdle;
-using shard_sync::SpinBarrier;
-using shard_sync::horizon_of;
+namespace {
+
+/// Published horizon value for a shard with no pending events.
+constexpr std::int64_t kIdle = std::numeric_limits<std::int64_t>::max();
+
+/// Sense-reversing spin barrier. Windows are short (often a handful of
+/// events per shard), so a futex-parked barrier would dominate the loop;
+/// this one completes in a few hundred ns when all threads are running, and
+/// degrades to yielding when the host is oversubscribed (1-core CI).
+/// Synchronization: every arrival is an acq_rel RMW on count_, the last
+/// arrival publishes through an acq_rel RMW on gen_, and waiters acquire
+/// gen_ — so all writes made before the barrier are visible after it.
+class SpinBarrier {
+ public:
+  explicit SpinBarrier(unsigned n) : n_(n) {}
+
+  void arrive_and_wait() {
+    std::uint64_t gen = gen_.load(std::memory_order_acquire);
+    if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      count_.store(0, std::memory_order_relaxed);
+      gen_.fetch_add(1, std::memory_order_acq_rel);
+    } else {
+      int spins = 0;
+      while (gen_.load(std::memory_order_acquire) == gen) {
+        if (++spins > 4096) std::this_thread::yield();
+      }
+    }
+  }
+
+ private:
+  unsigned n_;
+  std::atomic<unsigned> count_{0};
+  std::atomic<std::uint64_t> gen_{0};
+};
+
+std::int64_t horizon_of(const SimRuntime& rt) {
+  auto d = rt.next_deadline();
+  return d ? d->count() : kIdle;
+}
+
+}  // namespace
 
 ShardedRuntime::ShardedRuntime(std::size_t shards, Duration lookahead,
-                               SyncConfig cfg)
-    : lookahead_(lookahead),
-      cfg_(cfg),
-      mode_(cfg.strategy == SyncStrategy::kOptimistic
-                ? SyncStrategy::kOptimistic
-                : SyncStrategy::kConservative) {
+                               SyncConfig)
+    : lookahead_(lookahead) {
   assert(shards >= 1);
   assert(lookahead_ > Duration::zero() &&
          "window synchronization needs strictly positive lookahead");
@@ -31,10 +67,7 @@ ShardedRuntime::ShardedRuntime(std::size_t shards, Duration lookahead,
   scratch_.resize(shards);
   horizon_ = std::vector<std::atomic<std::int64_t>>(shards);
   events_ = std::vector<std::atomic<std::uint64_t>>(shards);
-  straggler_min_ = std::vector<std::atomic<std::int64_t>>(shards);
   delivered_.assign(shards, 0);
-  anti_.assign(shards, 0);
-  wasted_.assign(shards, 0);
 }
 
 void ShardedRuntime::send(std::size_t src, std::size_t dst, TimePoint at,
@@ -44,18 +77,8 @@ void ShardedRuntime::send(std::size_t src, std::size_t dst, TimePoint at,
   // the driver otherwise) — that confinement is what makes the outbox rows
   // single-writer.
   ILU_ASSERT_OWNER(shards_[src]->owner(), "ShardedRuntime::send");
-  if (mode_.load(std::memory_order_relaxed) == SyncStrategy::kOptimistic) {
-    // Speculative sends may land in the *destination's* executed past (the
-    // straggler scan repairs that by rollback) but must stay in the
-    // sender's strict future: senders execute at deadlines >= the round's
-    // T_min, so every straggler is strictly after T_min and the rollback
-    // re-run always makes progress.
-    ILU_DCHECK(at > shards_[src]->now(),
-               "optimistic send must be in the sender's strict future");
-  } else {
-    ILU_DCHECK(at >= shards_[src]->now() + lookahead_,
-               "cross-shard send violates the lookahead promise");
-  }
+  ILU_DCHECK(at >= shards_[src]->now() + lookahead_,
+             "cross-shard send violates the lookahead promise");
   if (src == dst) {
     // Same event loop: deliver directly, with the identical (at, tag)
     // ordering key a mailbox delivery would use.
@@ -86,58 +109,6 @@ void ShardedRuntime::merge_inbox(std::size_t dst) {
   in.clear();
 }
 
-void ShardedRuntime::commit_round(std::size_t me, SpinBarrier& barrier) {
-  SimRuntime& rt = *shards_[me];
-  // Publish progress for concurrent telemetry readers and stamp the barrier
-  // crossing on this thread's flight ring (ts = the shard clock after the
-  // window, arg = shard index). Published only here — at committed rounds —
-  // so readers never observe speculative counts a rollback would retract.
-  events_[me].store(rt.events_processed(), std::memory_order_relaxed);
-  flight::record(rt.now(), flight::Ev::kWindowBarrier,
-                 static_cast<std::uint32_t>(me));
-  if (me == 0) ++windows_;
-  barrier.arrive_and_wait();  // all outboxes complete
-}
-
-void ShardedRuntime::update_mode() {
-  if (cfg_.strategy != SyncStrategy::kAuto || auto_locked_conservative_) {
-    return;
-  }
-  // Runs on shard 0's thread between the trailing barrier of one round and
-  // the horizon barrier of the next, so every input below is a stable,
-  // deterministic function of committed simulation state — the mode
-  // schedule is identical on every run and can never perturb results.
-  ++auto_rounds_;
-  if (auto_rounds_ <= cfg_.auto_probe_windows) return;
-  const std::size_t s = shards_.size();
-  if (mode_.load(std::memory_order_relaxed) == SyncStrategy::kConservative) {
-    std::uint64_t ev = 0;
-    for (const auto& e : events_) ev += e.load(std::memory_order_relaxed);
-    const double density = windows_ == 0
-                               ? 0.0
-                               : static_cast<double>(ev) /
-                                     static_cast<double>(windows_) /
-                                     static_cast<double>(s);
-    if (density < cfg_.auto_density_threshold) {
-      mode_.store(SyncStrategy::kOptimistic, std::memory_order_relaxed);
-      auto_opt_rounds_ = 0;
-      auto_opt_rollback_base_ = rollbacks_;
-    }
-  } else {
-    ++auto_opt_rounds_;
-    if (auto_opt_rounds_ >= 8) {
-      const double rate =
-          static_cast<double>(rollbacks_ - auto_opt_rollback_base_) /
-          static_cast<double>(auto_opt_rounds_);
-      if (rate > cfg_.auto_max_rollback_rate) {
-        // Speculation is thrashing on this workload; stop probing for good.
-        mode_.store(SyncStrategy::kConservative, std::memory_order_relaxed);
-        auto_locked_conservative_ = true;
-      }
-    }
-  }
-}
-
 void ShardedRuntime::run_windows(TimePoint limit) {
   const std::size_t s = shards_.size();
   const std::int64_t limit_us = limit.count();
@@ -156,26 +127,28 @@ void ShardedRuntime::run_windows(TimePoint limit) {
       // must count toward this shard's next deadline, or a shard whose
       // only work arrives by mail would report idle and stall the window
       // computation. Between the trailing barrier and this point no shard
-      // is executing events, so the outboxes are stable. The merge also
-      // leaves the whole outbox matrix empty — the checkpoint an
-      // optimistic round then takes is a globally consistent cut.
+      // is executing events, so the outboxes are stable.
       merge_inbox(me);
       horizon_[me].store(horizon_of(rt), std::memory_order_relaxed);
-      if (me == 0) update_mode();
-      barrier.arrive_and_wait();  // all merges done, horizons + mode stable
-      // Every thread computes the same round bound from the published
-      // horizons, so they all agree on the mode, the bound, and when to
-      // stop.
+      barrier.arrive_and_wait();  // all merges done, horizons stable
+      // Every thread computes the same window bound from the published
+      // horizons, so they all agree on the bound and on when to stop.
       std::int64_t tmin = kIdle;
       for (auto& h : horizon_) {
         tmin = std::min(tmin, h.load(std::memory_order_relaxed));
       }
       if (tmin == kIdle || tmin > limit_us) break;
-      if (mode_.load(std::memory_order_relaxed) == SyncStrategy::kOptimistic) {
-        round_optimistic(me, tmin, cap_us, barrier);
-      } else {
-        round_conservative(me, tmin, cap_us, barrier);
-      }
+      // No event executed anywhere this window can create work before
+      // T_min + lookahead, so running every shard to that bound is safe.
+      rt.run_before(TimePoint{std::min(tmin + lookahead_.count(), cap_us)});
+      // Publish progress for concurrent telemetry readers and stamp the
+      // barrier crossing on this thread's flight ring (ts = the shard clock
+      // after the window, arg = shard index).
+      events_[me].store(rt.events_processed(), std::memory_order_relaxed);
+      flight::record(rt.now(), flight::Ev::kWindowBarrier,
+                     static_cast<std::uint32_t>(me));
+      if (me == 0) ++windows_;
+      barrier.arrive_and_wait();  // all outboxes complete
     }
     if (limit_us != kIdle) rt.run_until(limit);
     events_[me].store(rt.events_processed(), std::memory_order_relaxed);
@@ -226,18 +199,6 @@ bool ShardedRuntime::idle() const {
 std::uint64_t ShardedRuntime::messages() const {
   std::uint64_t total = 0;
   for (auto d : delivered_) total += d;
-  return total;
-}
-
-std::uint64_t ShardedRuntime::anti_messages() const {
-  std::uint64_t total = 0;
-  for (auto a : anti_) total += a;
-  return total;
-}
-
-std::uint64_t ShardedRuntime::wasted_events() const {
-  std::uint64_t total = 0;
-  for (auto w : wasted_) total += w;
   return total;
 }
 

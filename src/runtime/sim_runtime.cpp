@@ -66,30 +66,4 @@ void SimRuntime::run_before(TimePoint t) {
   }
 }
 
-SimRuntime::Checkpoint SimRuntime::checkpoint() const {
-  ILU_ASSERT_OWNER(owner_, "SimRuntime::checkpoint");
-  Checkpoint cp;
-  cp.now = now_;
-  cp.next_seq = next_seq_;
-  cp.processed = processed_;
-  cp.heap = heap_.clone_with([](const Task& t) { return t.clone(); });
-  cp.blobs.reserve(snapshotters_.size());
-  for (const Snapshotter& s : snapshotters_) cp.blobs.push_back(s.save());
-  return cp;
-}
-
-void SimRuntime::restore(Checkpoint&& cp) {
-  ILU_ASSERT_OWNER(owner_, "SimRuntime::restore");
-  ILU_DCHECK(cp.blobs.size() == snapshotters_.size(),
-             "checkpoint does not match this runtime's snapshotter set "
-             "(snapshotter registered between checkpoint and restore?)");
-  now_ = cp.now;
-  next_seq_ = cp.next_seq;
-  processed_ = cp.processed;
-  heap_ = std::move(cp.heap);
-  for (std::size_t i = 0; i < snapshotters_.size(); ++i) {
-    snapshotters_[i].restore(cp.blobs[i]);
-  }
-}
-
 }  // namespace ilu

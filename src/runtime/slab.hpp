@@ -120,24 +120,6 @@ class Slab {
     --live_;
   }
 
-  /// A point-in-time copy of the slab's complete state: payloads, slot
-  /// generations, free-list threading, and the allocation counter. Because
-  /// the slab is a contiguous slot array plus a free-list head, a snapshot
-  /// is a bounded copy — no per-record graph walk — which is what makes
-  /// per-window checkpointing affordable for the optimistic sharded runtime
-  /// (DESIGN.md §16). Requires T to be copy-constructible.
-  using Snapshot = Slab;
-
-  Snapshot snapshot() const { return *this; }
-
-  /// Replace this slab's state wholesale with a snapshot. Generations are
-  /// restored exactly: handles issued before the snapshot stay valid, and
-  /// handles issued *after* it (by slots recycled during the speculation
-  /// being rolled back) go stale again — `contains` is exact and `get`
-  /// aborts on them, same as any other stale handle.
-  void restore(Snapshot&& snap) { *this = std::move(snap); }
-  void restore(const Snapshot& snap) { *this = snap; }
-
   /// Visit every live record in canonical (index) order — the deterministic
   /// replacement for iterating an unordered_map of pointers. `f` must not
   /// add or erase records during the walk.

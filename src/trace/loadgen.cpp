@@ -4,59 +4,11 @@
 #include <cassert>
 
 #include "obs/flight.hpp"
-#include "util/dcheck.hpp"
-
-// ilu-lint: speculative-zone(flight) - the sharded scheduler brackets every speculative window with flight::mark()/rewind(), so rolled-back milestone records are discarded
 
 namespace ilu {
 
 OpenLoopDriver::OpenLoopDriver(Runtime& rt, InvokeFn invoke)
-    : rt_(rt), invoke_(std::move(invoke)) {
-  register_snapshotter();
-}
-
-void OpenLoopDriver::register_snapshotter() {
-  struct State {
-    bool started = false;
-    TimePoint epoch{};
-    std::size_t next = 0;
-    std::size_t outstanding = 0;
-    bool submitted_all = false;
-    std::size_t milestone_step = 0;
-    std::size_t next_milestone = 0;
-    std::uint64_t streamed = 0;
-    std::size_t results_size = 0;
-  };
-  rt_.add_snapshotter(Snapshotter{
-      [this]() -> std::shared_ptr<void> {
-        auto s = std::make_shared<State>();
-        s->started = started_;
-        s->epoch = epoch_;
-        s->next = next_;
-        s->outstanding = outstanding_;
-        s->submitted_all = submitted_all_;
-        s->milestone_step = milestone_step_;
-        s->next_milestone = next_milestone_;
-        s->streamed = streamed_;
-        s->results_size = results_.size();
-        return s;
-      },
-      [this](const std::shared_ptr<void>& blob) {
-        const auto& s = *static_cast<const State*>(blob.get());
-        ILU_DCHECK(!sink_ || streamed_ == s.streamed,
-                   "speculative rollback cannot un-call a result sink; "
-                   "streaming replays must run under conservative sync");
-        streamed_ = s.streamed;
-        started_ = s.started;
-        epoch_ = s.epoch;
-        next_ = s.next;
-        outstanding_ = s.outstanding;
-        submitted_all_ = s.submitted_all;
-        milestone_step_ = s.milestone_step;
-        next_milestone_ = s.next_milestone;
-        results_.resize(s.results_size);
-      }});
-}
+    : rt_(rt), invoke_(std::move(invoke)) {}
 
 void OpenLoopDriver::start(EventView events) {
   assert(!started_ && "driver already started");
@@ -88,7 +40,6 @@ void OpenLoopDriver::pump() {
     ++outstanding_;
     invoke_(fn, [this](const InvokeResult& r) {
       if (sink_) {
-        ++streamed_;
         sink_(r);
       } else {
         results_.push_back(r);

@@ -52,12 +52,6 @@ class OpenLoopDriver {
  private:
   void begin();
   void pump();
-  /// Register the driver's replay cursor with the runtime so speculative
-  /// (Time Warp) shard execution can roll a replay back: scalars are saved
-  /// wholesale and results_ is truncated back to its checkpoint length.
-  /// Streaming sinks cannot be un-called, so restoring while a sink is set
-  /// is a checked error (ILU_DCHECK).
-  void register_snapshotter();
 
   Runtime& rt_;
   InvokeFn invoke_;
@@ -72,9 +66,6 @@ class OpenLoopDriver {
   std::size_t milestone_step_ = 0;
   std::size_t next_milestone_ = 0;
   std::function<void(const InvokeResult&)> sink_;
-  /// Completions streamed to sink_ so far; a restore that would rewind past
-  /// a streamed completion is a checked error (the sink cannot un-see it).
-  std::uint64_t streamed_ = 0;
   std::vector<InvokeResult> results_;
 };
 

@@ -13,7 +13,6 @@ struct Hist {
 struct Registry {
   Counter* counter(const char* name);
   Gauge* gauge(const char* name);
-  Hist* histogram(const char* name);
   Hist* log_histogram(const char* name);
 };
 
@@ -35,9 +34,9 @@ void wire(Registry& reg, const char* dynamic_name) {
   // construction), not a per-event literal lookup.
   run([&reg, dynamic_name] { reg.counter(dynamic_name)->inc(); });
 
-  // BAD: one registry mutex acquisition per event, four flavours.
+  // BAD: one registry mutex acquisition per event, in four lambdas.
   run([&reg] { reg.counter("pool.hits")->inc(); });
   run([&reg] { reg.gauge("pool.mb")->set(1.0); });
-  each([&reg](int) { reg.histogram("lat_ms")->observe(0.5); });
+  each([&reg](int) { reg.log_histogram("lat_ms")->observe(0.5); });
   run([&reg]() mutable { reg.log_histogram("wait_ms")->observe(2.0); });
 }

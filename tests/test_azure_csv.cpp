@@ -1,10 +1,12 @@
 #include "trace/azure_csv.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "keepalive/simulator.hpp"
 
@@ -15,7 +17,10 @@ namespace {
 class AzureCsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ilu_azure_csv";
+    // Per-process directory: ctest runs each case as its own process, and
+    // one case's TearDown must not delete a directory another is filling.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ilu_azure_csv_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
     inv_ = (dir_ / "invocations.csv").string();
     dur_ = (dir_ / "durations.csv").string();

@@ -55,9 +55,8 @@ TEST(IluLint, CatalogueListsAllChecks) {
                        "wall-clock", "unordered-iter", "ptr-order",
                        "raw-thread", "std-function-hotpath",
                        "const-ref-capture", "registry-lookup-hotpath",
-                       "rollback-unsafe-effect", "lock-order",
-                       "atomics-discipline", "blocking-under-lock",
-                       "include-layering"}));
+                       "lock-order", "atomics-discipline",
+                       "blocking-under-lock", "include-layering"}));
 }
 
 // ---- wall-clock ----------------------------------------------------------
@@ -258,7 +257,7 @@ TEST(IluLint, RegistryLookupHotpathFires) {
   auto fs =
       lint_fixture_at("registry_lookup_hotpath.cpp", "core/fixture.cpp");
   EXPECT_EQ(count_check(fs, "registry-lookup-hotpath"), 4)
-      << "counter/gauge/histogram/log_histogram literal lookups in lambdas; "
+      << "counter/gauge/log_histogram literal lookups in lambdas; "
          "wiring-time lookup and dynamic-name lookup stay clean";
   EXPECT_EQ(check_names(fs),
             std::set<std::string>{"registry-lookup-hotpath"});
@@ -289,70 +288,6 @@ TEST(IluLint, RegistryLookupHotpathIgnoresTopLevelLookups) {
       "}\n";
   auto fs = lint_file(in);
   EXPECT_TRUE(fs.empty()) << "wiring-time lookups outside lambdas are fine";
-}
-
-// ---- rollback-unsafe-effect ----------------------------------------------
-
-TEST(IluLint, RollbackUnsafeEffectFires) {
-  auto fs = lint_fixture_at("rollback_unsafe_effect.cpp", "core/fixture.cpp");
-  EXPECT_EQ(count_check(fs, "rollback-unsafe-effect"), 4)
-      << "two undeclared metric mutations, log_info, printf; the declared "
-         "flight::record and the by-value g.set() stay clean";
-  EXPECT_EQ(check_names(fs), std::set<std::string>{"rollback-unsafe-effect"});
-}
-
-TEST(IluLint, RollbackUnsafeEffectSuppressed) {
-  auto fs = lint_fixture_at("rollback_unsafe_effect_suppressed.cpp",
-                            "core/fixture.cpp");
-  EXPECT_TRUE(fs.empty()) << fs.size() << " unsuppressed finding(s)";
-}
-
-TEST(IluLint, RollbackUnsafeEffectQuietWithoutZonePragma) {
-  // The check is armed by the pragma, not by path: files outside any
-  // speculative zone may record and count freely.
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "void on_complete(int fn) {\n"
-      "  flight::record(1, 2, fn);\n"
-      "  completions_->inc();\n"
-      "}\n";
-  EXPECT_TRUE(lint_file(in).empty());
-}
-
-TEST(IluLint, RollbackUnsafeEffectLogChannelNotDeclarable) {
-  // Declaring the log channel rollback-safe is a grammar error, reported
-  // under the unsuppressible lint-suppression name.
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "// ilu-lint: speculative-zone(log) - wishful thinking\n"
-      "int x;\n";
-  auto fs = lint_file(in);
-  ASSERT_EQ(count_check(fs, "lint-suppression"), 1);
-  EXPECT_NE(fs.front().message.find("log channel"), std::string::npos)
-      << fs.front().message;
-}
-
-TEST(IluLint, RollbackUnsafeEffectUnknownChannelIsMalformed) {
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "// ilu-lint: speculative-zone(flight, tracing) - no such channel\n"
-      "int x;\n";
-  auto fs = lint_file(in);
-  ASSERT_EQ(count_check(fs, "lint-suppression"), 1);
-  EXPECT_NE(fs.front().message.find("tracing"), std::string::npos);
-}
-
-TEST(IluLint, RollbackUnsafeEffectReasonRequired) {
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "// ilu-lint: speculative-zone(flight)\n"
-      "int x;\n";
-  auto fs = lint_file(in);
-  EXPECT_EQ(count_check(fs, "lint-suppression"), 1);
 }
 
 // ---- suppression grammar -------------------------------------------------
@@ -417,7 +352,9 @@ TEST(IluLint, LexerSplicedStringKeepsLineNumbers) {
       "b\";\n"
       "int third = 1;\n");
   for (const auto& t : lr.tokens) {
-    if (t.text == "third") EXPECT_EQ(t.line, 3);
+    if (t.text == "third") {
+      EXPECT_EQ(t.line, 3);
+    }
   }
 }
 

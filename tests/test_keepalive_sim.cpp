@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "exp/keepalive_sweep.hpp"
 #include "trace/azure.hpp"
 #include "trace/function_profile.hpp"
@@ -102,8 +105,11 @@ TEST(KeepAliveSim, HistBeatsTtlOnRegularWorkload) {
 }
 
 /// Property sweep: every policy, several capacities — invariants hold.
+/// The policy is a std::string, not a const char*: gtest prints a char
+/// pointer parameter with its address, which would make the discovered test
+/// names differ between builds.
 class PolicyCapacitySweep
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(PolicyCapacitySweep, InvariantsHold) {
@@ -126,7 +132,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("TTL", "LRU", "FREQ", "GD", "LND", "HIST"),
         ::testing::Values(512u, 4096u, 32768u)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param)) + "mb";
     });
 

@@ -1,7 +1,6 @@
 // Log-bucketed histograms (obs/metrics): bounded relative error across the
 // µs→s range, deterministic shard-count-independent merge, exact overflow
-// tracking (for both LogHistogram and the fixed-width Histogram's new
-// saturation fields), and registry snapshot/export plumbing.
+// tracking, and registry snapshot/export plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,33 +169,6 @@ TEST(LogHistogram, MergeIsShardCountInvariant) {
   }
 }
 
-// ---- fixed-width Histogram overflow (satellite) --------------------------
-
-TEST(Histogram, OverflowKeepsExactMax) {
-  Histogram h(1.0, 10);  // nominal range [0, 10)
-  h.observe(2.0);
-  h.observe(25.5);
-  h.observe(17.0);
-  EXPECT_TRUE(h.saturated());
-  EXPECT_EQ(h.overflow_count(), 2u);
-  EXPECT_DOUBLE_EQ(h.overflow_max(), 25.5);
-  // The tail quantile reports the true max instead of flattening at the
-  // final bucket edge (the pre-fix behaviour).
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(1.0), 25.5);
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(0.99), 25.5);
-  // In-range quantiles are unaffected.
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(0.3), 3.0);
-}
-
-TEST(Histogram, UnsaturatedStaysBucketEdged) {
-  Histogram h(1.0, 10);
-  h.observe(2.5);
-  EXPECT_FALSE(h.saturated());
-  EXPECT_EQ(h.overflow_count(), 0u);
-  EXPECT_DOUBLE_EQ(h.overflow_max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(1.0), 3.0);
-}
-
 // ---- registry + snapshot + export ----------------------------------------
 
 TEST(MetricsRegistry, LogHistogramFindOrCreate) {
@@ -219,8 +191,8 @@ TEST(MetricsRegistry, LogHistogramFindOrCreate) {
 
 TEST(MetricsExport, JsonCarriesSaturationAndLogHistograms) {
   MetricsRegistry reg;
-  Histogram* fixed = reg.histogram("fixed", 1.0, 4);
-  fixed->observe(99.0);
+  LogHistogram* full = reg.log_histogram("full_ms", 1.0, 10.0);
+  full->observe(99.0);  // past max_value: overflow
   LogHistogram* lh = reg.log_histogram("wait_ms");
   lh->observe(0.25);
 
@@ -228,15 +200,14 @@ TEST(MetricsExport, JsonCarriesSaturationAndLogHistograms) {
   std::string text = doc.dump();
   JsonValue parsed = json_parse(text);
 
-  const JsonValue* hists = parsed.find("histograms");
-  ASSERT_NE(hists, nullptr);
-  const JsonValue* fx = hists->find("fixed");
-  ASSERT_NE(fx, nullptr);
-  EXPECT_TRUE(fx->find("saturated")->as_bool());
-  EXPECT_DOUBLE_EQ(fx->find("overflow_max")->as_number(), 99.0);
-
   const JsonValue* lhs = parsed.find("log_histograms");
   ASSERT_NE(lhs, nullptr);
+  const JsonValue* fx = lhs->find("full_ms");
+  ASSERT_NE(fx, nullptr);
+  EXPECT_TRUE(fx->find("saturated")->as_bool());
+  EXPECT_DOUBLE_EQ(fx->find("overflow_count")->as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(fx->find("max")->as_number(), 99.0);
+
   const JsonValue* w = lhs->find("wait_ms");
   ASSERT_NE(w, nullptr);
   EXPECT_EQ(w->find("count")->as_number(), 1.0);

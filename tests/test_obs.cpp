@@ -183,47 +183,22 @@ TEST(Metrics, CounterAndGaugeBasics) {
   EXPECT_EQ(g.value(), -2);
 }
 
-TEST(Metrics, HistogramBucketBoundaries) {
-  Histogram h(/*bucket_width=*/1.0, /*num_buckets=*/10);
-  h.observe(0.0);    // bucket 0: [0, 1)
-  h.observe(0.999);  // bucket 0
-  h.observe(1.0);    // bucket 1: [1, 2)
-  h.observe(9.0);    // bucket 9 (last in-range)
-  h.observe(42.0);   // overflow -> last bucket
-  h.observe(-3.0);   // negative -> first bucket
-  EXPECT_EQ(h.bucket(0), 3u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_NEAR(h.sum(), 0.0 + 0.999 + 1.0 + 9.0 + 42.0 - 3.0, 1e-4);
-  EXPECT_NEAR(h.mean(), h.sum() / 6.0, 1e-9);
-}
-
-TEST(Metrics, HistogramQuantileUpperBound) {
-  Histogram h(1.0, 10);
-  EXPECT_EQ(h.quantile_upper_bound(0.5), 0.0);  // empty
-  for (int i = 0; i < 90; ++i) h.observe(0.5);  // bucket 0
-  for (int i = 0; i < 10; ++i) h.observe(5.5);  // bucket 5
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(0.5), 1.0);   // within bucket 0
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(0.99), 6.0);  // within bucket 5
-}
-
 TEST(Metrics, RegistryFindOrCreateReturnsStablePointers) {
   MetricsRegistry reg;
   Counter* c1 = reg.counter("x");
   Counter* c2 = reg.counter("x");
   EXPECT_EQ(c1, c2);
-  Histogram* h1 = reg.histogram("h", 1.0, 4);
-  Histogram* h2 = reg.histogram("h", 99.0, 7);  // existing geometry wins
+  LogHistogram* h1 = reg.log_histogram("h", 1.0, 100.0);
+  LogHistogram* h2 = reg.log_histogram("h", 5.0, 7.0);  // existing wins
   EXPECT_EQ(h1, h2);
-  EXPECT_DOUBLE_EQ(h2->bucket_width(), 1.0);
+  EXPECT_DOUBLE_EQ(h2->min_value(), 1.0);
 }
 
 TEST(Metrics, SnapshotJsonRoundTrip) {
   MetricsRegistry reg;
   reg.counter("invocations")->inc(42);
   reg.gauge("inflight")->set(-3);
-  Histogram* h = reg.histogram("wait_ms", 2.0, 4);
+  LogHistogram* h = reg.log_histogram("wait_ms");
   h->observe(1.0);
   h->observe(3.0);
   h->observe(100.0);
@@ -235,15 +210,11 @@ TEST(Metrics, SnapshotJsonRoundTrip) {
       parsed.find("counters")->find("invocations")->as_number(), 42.0);
   EXPECT_DOUBLE_EQ(parsed.find("gauges")->find("inflight")->as_number(),
                    -3.0);
-  const JsonValue* hist = parsed.find("histograms")->find("wait_ms");
+  const JsonValue* hist = parsed.find("log_histograms")->find("wait_ms");
   ASSERT_NE(hist, nullptr);
-  EXPECT_DOUBLE_EQ(hist->find("bucket_width")->as_number(), 2.0);
   EXPECT_DOUBLE_EQ(hist->find("count")->as_number(), 3.0);
-  const JsonArray& buckets = hist->find("buckets")->as_array();
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_DOUBLE_EQ(buckets[0].as_number(), 1.0);  // 1.0 -> [0,2)
-  EXPECT_DOUBLE_EQ(buckets[1].as_number(), 1.0);  // 3.0 -> [2,4)
-  EXPECT_DOUBLE_EQ(buckets[3].as_number(), 1.0);  // 100 -> overflow
+  EXPECT_DOUBLE_EQ(hist->find("min")->as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(hist->find("max")->as_number(), 100.0);
   EXPECT_NEAR(hist->find("sum")->as_number(), 104.0, 1e-4);
 }
 
@@ -251,7 +222,7 @@ TEST(Metrics, CsvExportWrites) {
   MetricsRegistry reg;
   reg.counter("c")->inc(2);
   reg.gauge("g")->set(5);
-  reg.histogram("h", 1.0, 4)->observe(0.5);
+  reg.log_histogram("h")->observe(0.5);
   std::string path = testing::TempDir() + "/obs_metrics.csv";
   write_metrics_csv(reg.snapshot(), path);
   std::ifstream in(path);
@@ -260,7 +231,7 @@ TEST(Metrics, CsvExportWrites) {
                   std::istreambuf_iterator<char>());
   EXPECT_NE(all.find("counter"), std::string::npos);
   EXPECT_NE(all.find("gauge"), std::string::npos);
-  EXPECT_NE(all.find("histogram"), std::string::npos);
+  EXPECT_NE(all.find("log_histogram"), std::string::npos);
 }
 
 // ------------------------------------------------------------- exporters --

@@ -31,7 +31,7 @@ TEST(ObsConcurrency, LoggerMetricsAndTracerUnderContention) {
   // same discipline the worker uses.
   Counter* ops = reg.counter("hammer.ops");
   Gauge* level = reg.gauge("hammer.level");
-  Histogram* lat = reg.histogram("hammer.lat_ms", 1.0, 32);
+  LogHistogram* lat = reg.log_histogram("hammer.lat_ms");
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);

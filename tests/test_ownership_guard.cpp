@@ -66,8 +66,8 @@ TEST_F(OwnershipGuardDeathTest, CrossShardScheduleDuringRunAborts) {
 }
 
 TEST_F(OwnershipGuardDeathTest, ConservativePastSendAborts) {
-  // Under conservative sync a cross-shard send inside the lookahead horizon
-  // breaks the engine's safety argument outright, so it aborts.
+  // A cross-shard send inside the lookahead horizon breaks the window
+  // engine's safety argument outright, so it aborts.
   EXPECT_DEATH(
       {
         ilu::ShardedRuntime srt(2, ilu::Duration{100});
@@ -78,48 +78,6 @@ TEST_F(OwnershipGuardDeathTest, ConservativePastSendAborts) {
         srt.run_until(ilu::TimePoint{1000});
       },
       "lookahead promise");
-}
-
-TEST_F(OwnershipGuardDeathTest, OptimisticSendMustBeInSendersFuture) {
-  // The optimistic engine tolerates sends into the *destination's* past
-  // (rollback repairs those) but a send at or before the *sender's* own now
-  // would let a re-run re-straggle forever, so it aborts.
-  EXPECT_DEATH(
-      {
-        ilu::SyncConfig cfg;
-        cfg.strategy = ilu::SyncStrategy::kOptimistic;
-        ilu::ShardedRuntime srt(2, ilu::Duration{100}, cfg);
-        srt.shard(0).schedule(ilu::Duration{10}, [&srt] {
-          srt.send(0, 1, srt.shard(0).now(), 7, [] {});
-        });
-        srt.shard(1).schedule(ilu::Duration{500}, [] {});
-        srt.run_until(ilu::TimePoint{1000});
-      },
-      "strict future");
-}
-
-TEST(OwnershipGuard, OptimisticStragglerRollsBackInsteadOfAborting) {
-  // The same shape that aborts under conservative sync — a message landing
-  // inside the destination's already-executed window — is legal under the
-  // optimistic engine: the straggler scan rolls shard 1 back and re-runs.
-  ilu::SyncConfig cfg;
-  cfg.strategy = ilu::SyncStrategy::kOptimistic;
-  cfg.speculation = 8.0;
-  ilu::ShardedRuntime srt(2, ilu::Duration{100}, cfg);
-  // Dense local work keeps shard 1 speculating far past shard 0's horizon.
-  for (std::int64_t t = 10; t <= 2000; t += 10) {
-    srt.shard(1).schedule(ilu::Duration{t}, [] {});
-  }
-  std::uint64_t delivered = 0;
-  srt.shard(0).schedule(ilu::Duration{1000}, [&srt, &delivered] {
-    srt.send(0, 1, srt.shard(0).now() + ilu::Duration{1}, 7,
-             [&delivered] { ++delivered; });
-  });
-  srt.run_until(ilu::TimePoint{3000});
-  EXPECT_EQ(delivered, 1u);
-  EXPECT_GE(srt.rollbacks(), 1u)
-      << "the send must have landed in shard 1's speculated past";
-  EXPECT_GE(srt.anti_messages(), 1u);
 }
 
 TEST_F(OwnershipGuardDeathTest, IluDcheckAborts) {

@@ -130,5 +130,33 @@ TEST(ShardedCluster, LegacySingleRuntimeStillWorks) {
   EXPECT_EQ(d.results().size(), trace.events.size());
 }
 
+// ---- worker→shard placement ---------------------------------------------
+
+TEST(ShardedCluster, AssignShardsRoundRobinStripes) {
+  auto map = assign_shards(Placement::kRoundRobin, 8, 3, 16);
+  ASSERT_EQ(map.size(), 8u);
+  for (std::size_t w = 0; w < map.size(); ++w) EXPECT_EQ(map[w], w % 3);
+}
+
+TEST(ShardedCluster, AssignShardsLocalityIsABalancedPartition) {
+  const std::size_t workers = 10, shards = 3;
+  auto map = assign_shards(Placement::kLocality, workers, shards, 16);
+  ASSERT_EQ(map.size(), workers);
+  std::vector<std::size_t> sizes(shards, 0);
+  for (std::size_t s : map) {
+    ASSERT_LT(s, shards);
+    ++sizes[s];
+  }
+  const std::size_t ceil_chunk = (workers + shards - 1) / shards;
+  for (std::size_t s = 0; s < shards; ++s) {
+    EXPECT_GE(sizes[s], 1u) << "no shard may be empty when W >= S";
+    EXPECT_LE(sizes[s], ceil_chunk);
+  }
+  // Deterministic: a pure function of its arguments.
+  EXPECT_EQ(map, assign_shards(Placement::kLocality, workers, shards, 16));
+  EXPECT_EQ(std::string("locality"), to_string(Placement::kLocality));
+  EXPECT_EQ(std::string("roundrobin"), to_string(Placement::kRoundRobin));
+}
+
 }  // namespace
 }  // namespace ilu

@@ -58,72 +58,6 @@ TEST_F(SlabGuardDeathTest, NullHandleGetAborts) {
   EXPECT_DEATH(slab.get(null_handle), "stale slab handle");
 }
 
-// ---- snapshot / restore (the Time Warp checkpoint primitive) -------------
-
-TEST(SlabGuard, SnapshotRestoreRoundTripsLiveAndFreeSlots) {
-  Slab<int> slab;
-  SlabHandle a = slab.emplace(1);
-  SlabHandle b = slab.emplace(2);
-  SlabHandle c = slab.emplace(3);
-  slab.erase(b);  // interleave: live, free, live
-  auto snap = slab.snapshot();
-
-  // Mutate past the checkpoint: erase a live slot, recycle one (the free
-  // list is LIFO, so the emplace reuses a's just-freed slot).
-  slab.erase(a);
-  SlabHandle d = slab.emplace(4);
-  ASSERT_EQ(d.index, a.index);
-  slab.get(c) = 33;
-
-  slab.restore(snap);
-  EXPECT_EQ(slab.size(), 2u);
-  EXPECT_TRUE(slab.contains(a));
-  EXPECT_FALSE(slab.contains(b));
-  EXPECT_TRUE(slab.contains(c));
-  EXPECT_EQ(slab.get(a), 1);
-  EXPECT_EQ(slab.get(c), 3) << "post-checkpoint write must be rolled back";
-}
-
-TEST(SlabGuard, RestorePreservesGenerationsExactly) {
-  // Handles issued before the checkpoint must stay valid after a restore,
-  // and the free-list must keep recycling deterministically: the same
-  // post-restore allocation sequence yields the same handles every time.
-  Slab<int> slab;
-  SlabHandle a = slab.emplace(10);
-  slab.erase(slab.emplace(20));  // leave a free slot on the list
-  auto snap = slab.snapshot();
-
-  SlabHandle first = slab.emplace(30);
-  slab.restore(snap);
-  SlabHandle second = slab.emplace(30);
-  EXPECT_EQ(first.index, second.index);
-  EXPECT_EQ(first.gen, second.gen)
-      << "restore must rewind generations, not just occupancy";
-  EXPECT_TRUE(slab.contains(a));
-  EXPECT_EQ(slab.get(a), 10);
-}
-
-TEST_F(SlabGuardDeathTest, SpeculativeHandleAbortsAfterRestore) {
-  // A handle created during a speculative window refers to state that the
-  // rollback erased; dereferencing it afterwards must abort, not alias.
-  Slab<int> slab;
-  (void)slab.emplace(1);
-  auto snap = slab.snapshot();
-  SlabHandle spec = slab.emplace(2);  // allocated past the checkpoint
-  slab.restore(snap);
-  EXPECT_FALSE(slab.contains(spec));
-  EXPECT_DEATH(slab.get(spec), "stale slab handle");
-}
-
-TEST_F(SlabGuardDeathTest, HandleErasedBeforeSnapshotStaysDeadAfterRestore) {
-  Slab<int> slab;
-  SlabHandle h = slab.emplace(5);
-  slab.erase(h);
-  auto snap = slab.snapshot();
-  slab.restore(snap);
-  EXPECT_DEATH(slab.get(h), "stale slab handle");
-}
-
 TEST(SlabGuard, ContainsIsExactAcrossRecycling) {
   Slab<int> slab;
   SlabHandle a = slab.emplace(1);

@@ -180,6 +180,35 @@ TEST_F(WorkerTest, MemoryExhaustionParksInvocations) {
   w.shutdown();
 }
 
+TEST_F(WorkerTest, MemoryParkRetriesAreCounted) {
+  // Ten invocations share memory for one container: every release re-queues
+  // every parked invocation, and each re-queue costs a dispatch. The
+  // counter makes that storm visible, and the dispatch count stays within
+  // what initial dispatches, create retries and re-queues can explain.
+  WorkerConfig cfg = base_config();
+  cfg.memory_mb = 200;  // one pyaes container (128 MB) fits
+  Worker w(rt_, cfg);
+  auto f = w.register_function(pyaes());
+  w.start();
+  constexpr std::uint64_t kInvocations = 10;
+  std::uint64_t done = 0;
+  for (std::uint64_t i = 0; i < kInvocations; ++i) {
+    w.invoke(f, [&](const InvokeResult& r) {
+      EXPECT_TRUE(r.success);
+      ++done;
+    });
+  }
+  rt_.run_for(secs(120));
+  EXPECT_EQ(done, kInvocations);
+  const std::uint64_t requeues =
+      w.metrics().counter("worker.memory_requeues")->value();
+  const std::uint64_t dispatches = w.tracer().count(spans::kSpawnWorker);
+  const auto retries = static_cast<std::uint64_t>(cfg.create_retries);
+  EXPECT_GT(requeues, 0u);
+  EXPECT_LE(dispatches, kInvocations * (1 + retries) + requeues);
+  w.shutdown();
+}
+
 TEST_F(WorkerTest, CreateFailureRetriesThenSucceeds) {
   WorkerConfig cfg = base_config();
   cfg.faults.create_failure_prob = 0.5;

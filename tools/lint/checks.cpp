@@ -452,8 +452,7 @@ void check_const_ref_capture(const Tokens& ts, const std::string& rel,
 constexpr std::string_view kRegistryLookupExempt[] = {"obs/", "exp/"};
 
 bool is_registry_lookup_name(std::string_view id) {
-  return id == "counter" || id == "gauge" || id == "histogram" ||
-         id == "log_histogram";
+  return id == "counter" || id == "gauge" || id == "log_histogram";
 }
 
 /// Collect [first, last] token-index ranges of lambda bodies. Reuses the
@@ -553,126 +552,6 @@ void check_registry_lookup_hotpath(const Tokens& ts, const std::string& rel,
 }
 
 // ---------------------------------------------------------------------------
-// rollback-unsafe-effect
-// ---------------------------------------------------------------------------
-
-/// Channels a speculative (Time Warp) zone may declare rollback-safe.
-/// `flight` is bufferable because the runtime brackets every speculative
-/// window with flight::mark()/rewind(); `metrics` because instrument values
-/// are checkpointed and restored with the component state. The log channel
-/// (util/log.*, stdio) has no rollback path — a printed line cannot be
-/// unprinted — so it can never be declared, only allowed per site.
-bool is_zone_channel(std::string_view id) {
-  return id == "flight" || id == "metrics";
-}
-
-bool is_log_effect_fn(std::string_view id) {
-  return id == "log_info" || id == "log_warn" || id == "log_error" ||
-         id == "log_debug" || id == "log_message" || id == "log_write_raw" ||
-         id == "printf" || id == "fprintf" || id == "puts" || id == "fputs";
-}
-
-bool is_metrics_mutator(std::string_view id) {
-  return id == "inc" || id == "observe" || id == "set" || id == "add" ||
-         id == "sub";
-}
-
-/// Leniently extract the channels declared by a file's speculative-zone
-/// pragma(s). Grammar errors are parse_directive's job; a channel token we
-/// do not recognize here is simply not declared. Returns whether any pragma
-/// was present (i.e. whether the file is a speculative zone at all).
-bool collect_zone_channels(const LexResult& lr, bool& flight_ok,
-                           bool& metrics_ok) {
-  bool zone = false;
-  for (const Comment& c : lr.comments) {
-    std::size_t pos = c.text.find("ilu-lint");
-    if (pos == std::string_view::npos) continue;
-    std::size_t zp = c.text.find("speculative-zone", pos);
-    if (zp == std::string_view::npos) continue;
-    std::size_t open = c.text.find('(', zp);
-    std::size_t close = c.text.find(')', zp);
-    if (open == std::string_view::npos || close == std::string_view::npos ||
-        close < open) {
-      continue;
-    }
-    zone = true;
-    std::string_view list = c.text.substr(open + 1, close - open - 1);
-    while (!list.empty()) {
-      std::size_t comma = list.find(',');
-      std::string_view ch = trim(list.substr(0, comma));
-      if (ch == "flight") flight_ok = true;
-      if (ch == "metrics") metrics_ok = true;
-      list = comma == std::string_view::npos ? std::string_view{}
-                                             : list.substr(comma + 1);
-    }
-  }
-  return zone;
-}
-
-/// In a file that declares itself a speculative zone — code the optimistic
-/// shard scheduler may execute past the safe bound and roll back — every
-/// externally visible effect must be commit-buffered, or a rollback leaves
-/// phantom records behind. flight::record and instrument mutations are fine
-/// exactly when their channel is declared; log/stdio output never is.
-void check_rollback_unsafe_effect(const LexResult& lr, const std::string& rel,
-                                  std::vector<Finding>& out) {
-  bool flight_ok = false, metrics_ok = false;
-  if (!collect_zone_channels(lr, flight_ok, metrics_ok)) return;
-  const Tokens& ts = lr.tokens;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (ts[i].kind != Tok::Identifier || i + 1 >= ts.size() ||
-        !is_punct(ts[i + 1], "(")) {
-      continue;
-    }
-    std::string_view id = ts[i].text;
-    if (!flight_ok && id == "record" && i >= 2 && is_punct(ts[i - 1], "::") &&
-        is_id(ts[i - 2], "flight")) {
-      out.push_back(
-          {rel, ts[i].line, "rollback-unsafe-effect",
-           "flight::record(...) in a speculative zone that does not declare "
-           "the flight channel: a rollback would leave phantom records — "
-           "rely on the runtime's mark()/rewind() bracketing and declare "
-           "speculative-zone(flight)"});
-      continue;
-    }
-    if (!metrics_ok && is_metrics_mutator(id) && i >= 1 &&
-        is_punct(ts[i - 1], "->")) {
-      out.push_back(
-          {rel, ts[i].line, "rollback-unsafe-effect",
-           "instrument mutation `->" + std::string(id) +
-               "(...)` in a speculative zone that does not declare the "
-               "metrics channel: rolled-back updates would survive in the "
-               "registry — checkpoint the registry values in the component "
-               "snapshotter and declare speculative-zone(metrics)"});
-      continue;
-    }
-    if (is_log_effect_fn(id)) {
-      // Free or std::-qualified calls only (mirrors wall-clock): `x.puts()`
-      // and member declarations have a disqualifying previous token.
-      bool flag = true;
-      if (i > 0) {
-        const Token& p = ts[i - 1];
-        if (p.kind == Tok::Identifier || is_punct(p, ".") ||
-            is_punct(p, "->")) {
-          flag = false;
-        } else if (is_punct(p, "::")) {
-          flag = i >= 2 && is_id(ts[i - 2], "std");
-        }
-      }
-      if (flag) {
-        out.push_back(
-            {rel, ts[i].line, "rollback-unsafe-effect",
-             "`" + std::string(id) +
-                 "(...)` in a speculative zone: a printed line cannot be "
-                 "rolled back and the log channel can never be declared "
-                 "safe — emit at commit time, or add a per-site "
-                 "allow(rollback-unsafe-effect) with a reason"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Directives (suppressions + pragmas)
 // ---------------------------------------------------------------------------
 
@@ -764,49 +643,9 @@ void parse_directive(const Comment& c, const std::string& rel,
     floors.push_back(std::move(p));
     return;
   }
-  if (starts_with(rest, "speculative-zone")) {
-    rest = trim(rest.substr(16));
-    if (rest.empty() || rest.front() != '(') {
-      return malformed("expected `(` after speculative-zone");
-    }
-    std::size_t zclose = rest.find(')');
-    if (zclose == std::string_view::npos) {
-      return malformed("unterminated speculative-zone(");
-    }
-    std::string_view list = rest.substr(1, zclose - 1);
-    std::size_t channels = 0;
-    while (!list.empty()) {
-      std::size_t comma = list.find(',');
-      std::string_view ch = trim(list.substr(0, comma));
-      if (ch.empty()) {
-        return malformed("empty channel in speculative-zone()");
-      }
-      if (ch == "log") {
-        return malformed(
-            "the log channel can never be declared rollback-safe: a printed "
-            "line cannot be unprinted — use a per-site "
-            "allow(rollback-unsafe-effect) instead");
-      }
-      if (!is_zone_channel(ch)) {
-        return malformed("unknown speculative-zone channel `" +
-                         std::string(ch) + "` (flight, metrics)");
-      }
-      ++channels;
-      list = comma == std::string_view::npos ? std::string_view{}
-                                             : list.substr(comma + 1);
-    }
-    if (channels == 0) return malformed("empty speculative-zone() list");
-    if (parse_reason(rest.substr(zclose + 1)).empty()) {
-      return malformed(
-          "a reason is required: `speculative-zone(<channel>) - <why the "
-          "channel is commit-buffered>`");
-    }
-    return;  // the check itself re-reads the channels from the comments
-  }
   if (!starts_with(rest, "allow")) {
     return malformed(
-        "only the `allow(...)`, `atomics-floor(...)`, and "
-        "`speculative-zone(...)` directives exist");
+        "only the `allow(...)` and `atomics-floor(...)` directives exist");
   }
   rest = trim(rest.substr(5));
   if (rest.empty() || rest.front() != '(') {
@@ -862,17 +701,9 @@ const std::vector<CheckInfo>& checks() {
        "passed to schedule/post/send/defer, or stored via "
        "push_back/emplace(_back) — outside exp/"},
       {"registry-lookup-hotpath",
-       "no MetricsRegistry::counter/gauge/histogram/log_histogram "
+       "no MetricsRegistry::counter/gauge/log_histogram "
        "name lookups inside lambda bodies (event callbacks) — resolve "
        "instruments at wiring time; exempt obs/, exp/"},
-      {"rollback-unsafe-effect",
-       "in files declaring `// ilu-lint: speculative-zone(<channel>,...) - "
-       "<reason>` (code the optimistic shard scheduler may execute "
-       "speculatively and roll back), flight::record and instrument "
-       "->inc/observe/set/add/sub calls are findings unless their channel "
-       "(flight, metrics) is declared commit-buffered; util/log.* and stdio "
-       "output is always a finding — the log channel cannot be declared, "
-       "only allowed per site"},
       {"lock-order",
        "no two locks acquired in both orders anywhere in src/ (cycle "
        "detection over the whole-repo lock acquisition graph, through "
@@ -897,8 +728,7 @@ const std::vector<CheckInfo>& checks() {
 
 namespace {
 
-/// The per-file token checks: the seven from ilu-lint v1 plus the
-/// speculative-zone effect audit.
+/// The per-file token checks from ilu-lint v1.
 void run_per_file_checks(const LexResult& lr, const FileInput& in,
                          std::vector<Finding>& raw) {
   const Tokens& ts = lr.tokens;
@@ -915,7 +745,6 @@ void run_per_file_checks(const LexResult& lr, const FileInput& in,
   check_std_function_hotpath(ts, in.rel_path, raw);
   check_const_ref_capture(ts, in.rel_path, raw);
   check_registry_lookup_hotpath(ts, in.rel_path, raw);
-  check_rollback_unsafe_effect(lr, in.rel_path, raw);
 }
 
 }  // namespace

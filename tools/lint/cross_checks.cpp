@@ -68,8 +68,7 @@ LockWorld build_lock_world(const RepoModel& m) {
 /// class with a `snapshot`/`count`/`merge` method manufactures lock cycles
 /// that do not exist. Receiver-free calls try the caller's own class first,
 /// then free functions, then a unique method.
-std::vector<std::size_t> resolve_call(const LockWorld& w, const RepoModel& m,
-                                      const CallSite& c,
+std::vector<std::size_t> resolve_call(const LockWorld& w, const CallSite& c,
                                       const std::string& caller_cls) {
   if (!c.receiver_type.empty()) {
     auto it = w.by_qual.find(c.receiver_type + "::" + c.callee);
@@ -96,12 +95,12 @@ std::vector<std::size_t> resolve_call(const LockWorld& w, const RepoModel& m,
 /// Propagate transitive acquisitions through the call graph to fixpoint.
 /// Iteration order is fully sorted, so the first witness recorded for each
 /// (function, lock) pair is canonical.
-void propagate_reach(LockWorld& w, const RepoModel& m) {
+void propagate_reach(LockWorld& w) {
   for (int round = 0; round < 32; ++round) {
     bool changed = false;
     for (std::size_t i = 0; i < w.fns.size(); ++i) {
       for (const CallSite& c : w.fns[i].fn->calls) {
-        for (std::size_t t : resolve_call(w, m, c, w.fns[i].fn->cls)) {
+        for (std::size_t t : resolve_call(w, c, w.fns[i].fn->cls)) {
           if (t == i) continue;
           for (const auto& [lock, rw] : w.reach[t]) {
             if (w.reach[i].count(lock) > 0) continue;
@@ -397,7 +396,7 @@ Digraph build_lock_graph(
     const RepoModel& m,
     std::map<std::pair<std::string, std::string>, LockEdge>* edges) {
   LockWorld w = build_lock_world(m);
-  propagate_reach(w, m);
+  propagate_reach(w);
 
   Digraph g;
   auto add = [&](const std::string& from, const std::string& to,
@@ -428,7 +427,7 @@ Digraph build_lock_graph(
       // Acquisitions reached through calls made while held.
       for (const CallSite& c : fn.calls) {
         if (c.tok <= s.tok_begin || c.tok >= s.tok_end) continue;
-        for (std::size_t t : resolve_call(w, m, c, fn.cls)) {
+        for (std::size_t t : resolve_call(w, c, fn.cls)) {
           if (t == i) continue;
           for (const auto& [lock, rw] : w.reach[t]) {
             if (lock == s.lock) continue;  // instance aliasing, skip

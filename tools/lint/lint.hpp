@@ -40,27 +40,13 @@
 ///                         push_back/emplace_back/emplace/push. Exempt:
 ///                         exp/ (the sweep machinery joins its ref-capturing
 ///                         jobs before the scope exits, by design).
-///   registry-lookup-hotpath  MetricsRegistry::counter/gauge/histogram/
-///                         log_histogram called with a string-literal name
+///   registry-lookup-hotpath  MetricsRegistry::counter/gauge/log_histogram
+///                         called with a string-literal name
 ///                         inside a lambda body: event callbacks must use
 ///                         instrument pointers resolved at wiring time, not
 ///                         take the registry mutex per event. Exempt: obs/
 ///                         (the registry's own layer), exp/ (sweep jobs wire
 ///                         fresh panels per run).
-///   rollback-unsafe-effect  in files carrying a
-///                         `// ilu-lint: speculative-zone(<channel>,...) -
-///                         <reason>` pragma — code the optimistic (Time
-///                         Warp) shard scheduler may execute speculatively
-///                         and roll back — every externally visible effect
-///                         must be commit-buffered. flight::record and
-///                         instrument ->inc/observe/set/add/sub calls are
-///                         findings unless the pragma declares the flight /
-///                         metrics channel (rewind-bracketed ring,
-///                         checkpointed registry values respectively);
-///                         util/log.* and stdio calls are always findings —
-///                         a printed line cannot be unprinted, so the log
-///                         channel cannot be declared, only allowed per
-///                         site.
 ///
 /// Whole-repo checks (cross-TU; run over every staged file at once, so
 /// `--file` mode sees only single-TU facts while `--root` sees the full
@@ -95,14 +81,6 @@
 /// findings; implicit ops are seq_cst and always pass. Outside the
 /// concurrency zone, a pragma converts the file from blanket-banned to
 /// floor-checked.
-///
-/// Speculative zone: a file whose code the optimistic shard scheduler may
-/// run past the safe bound and roll back declares which effect channels it
-/// has made commit-buffered, once, at the top:
-///     // ilu-lint: speculative-zone(flight, metrics) - <why safe>
-/// Channels are `flight` and `metrics`; `log` is rejected at parse time
-/// (stdout cannot be rolled back). The pragma arms the
-/// rollback-unsafe-effect check for the file.
 namespace ilu::lint {
 
 struct Finding {

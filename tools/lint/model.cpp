@@ -58,8 +58,7 @@ bool is_io_callee(std::string_view id) {
 }
 
 bool is_registry_lookup(std::string_view id) {
-  return id == "counter" || id == "gauge" || id == "histogram" ||
-         id == "log_histogram";
+  return id == "counter" || id == "gauge" || id == "log_histogram";
 }
 
 /// Matching `(` index for the `)` at ts[i], scanning backward over balanced
