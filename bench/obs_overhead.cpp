@@ -69,6 +69,37 @@ double ns_per_record(bool enabled, int iters) {
   return wall_us(t0, t1) * 1e3 / iters;
 }
 
+/// Nanoseconds per record in the worker's shape: the 13 Table 1 span names
+/// round-robin in invocation order, one transaction per 13 records, every
+/// stage a child of the first. Stays under the default record cap, so every
+/// record is also appended to the span log.
+double ns_per_worker_shaped_record(int iters) {
+  static constexpr const char* kNames[] = {
+      spans::kInvoke,           spans::kSyncInvoke,
+      spans::kEnqueueInvocation, spans::kAddItemToQ,
+      spans::kSpawnWorker,      spans::kDequeue,
+      spans::kAcquireContainer, spans::kTryLockContainer,
+      spans::kPrepareInvoke,    spans::kCallContainer,
+      spans::kDownloadResult,   spans::kReturnContainer,
+      spans::kReturnResults};
+  constexpr int kStages = sizeof(kNames) / sizeof(kNames[0]);
+  TransactionTracer t(true);
+  TransactionId tx = 0;
+  SpanId root = kNoSpan;
+  auto t0 = Clock::now();
+  for (int i = 0; i < iters; ++i) {
+    const int stage = i % kStages;
+    if (stage == 0) {
+      tx = t.begin_transaction();
+      root = kNoSpan;
+    }
+    const SpanId id = t.record(tx, kNames[stage], usecs(i), usecs(1), root);
+    if (stage == 0) root = id;
+  }
+  auto t1 = Clock::now();
+  return wall_us(t0, t1) * 1e3 / iters;
+}
+
 /// Nanoseconds per counter-inc + log-histogram-observe pair.
 double ns_per_metric_update(int iters) {
   MetricsRegistry reg;
@@ -141,6 +172,8 @@ int main() {
   double on_us = median_of_5(us_per_warm_invoke, true, kRuns);
   double rec_on_ns = ns_per_record(true, 200000);
   double rec_off_ns = ns_per_record(false, 200000);
+  double rec_worker_ns =
+      median_of_5_int(ns_per_worker_shaped_record, 13 * 15000);
   double metric_ns = ns_per_metric_update(200000);
   double flight_on_ns = median_of_5(ns_per_flight_event, true, 1000000);
   double flight_off_ns = median_of_5(ns_per_flight_event, false, 1000000);
@@ -155,6 +188,8 @@ int main() {
   std::printf("%-44s %+9.1f %%\n", "tracing-enabled delta", delta_pct);
   std::printf("%-44s %10.1f ns\n", "tracer record() (enabled)", rec_on_ns);
   std::printf("%-44s %10.1f ns\n", "tracer record() (disabled)", rec_off_ns);
+  std::printf("%-44s %10.1f ns\n", "tracer record(), 13 names round-robin",
+              rec_worker_ns);
   std::printf("%-44s %10.1f ns\n", "counter inc + log-histogram observe",
               metric_ns);
   std::printf("%-44s %10.1f ns\n", "flight record() (enabled)", flight_on_ns);
@@ -173,6 +208,7 @@ int main() {
   o["tracing_on_delta_pct"] = delta_pct;
   o["record_ns_enabled"] = rec_on_ns;
   o["record_ns_disabled"] = rec_off_ns;
+  o["record_ns_worker_shaped"] = rec_worker_ns;
   o["metric_update_ns"] = metric_ns;
   o["flight_record_ns_enabled"] = flight_on_ns;
   o["flight_record_ns_disabled"] = flight_off_ns;

@@ -12,7 +12,7 @@
 // the run starts ("unknown" outside a git checkout).
 //
 // Schema (ilu-bench-core-v1): {"schema", "runs": [{label, utc, host_threads,
-// build_type, commit, smoke, engine:{events_per_sec,
+// build_type, compiler, commit, smoke, engine:{events_per_sec,
 // schedule_run_events_per_sec, schedule_cancel_ops_per_sec,
 // queue_push_pop_ops_per_sec, pool_acquire_return_ops_per_sec},
 // pool_churn:{slab_ops_per_sec, pointer_ops_per_sec, speedup},
@@ -917,6 +917,7 @@ int main(int argc, char** argv) {
   run["host_threads"] =
       static_cast<std::int64_t>(std::thread::hardware_concurrency());
   run["build_type"] = std::string(ILU_BUILD_TYPE);
+  run["compiler"] = std::string(ILU_COMPILER);
   run["commit"] = commit;
   run["smoke"] = smoke;
   JsonObject engine;

@@ -182,7 +182,7 @@ int cmd_replay(int argc, char** argv) {
     std::uint64_t dropped = w.tracer().tx().dropped_records();
     std::printf("\nwrote %zu spans to %s (Chrome trace format)%s\n",
                 spans.size(), trace_out.c_str(),
-                dropped ? " — shard record cap reached, tail truncated" : "");
+                dropped ? " — record cap reached, tail truncated" : "");
   }
   if (!flight_out.empty()) {
     const auto& rec = flight::Recorder::instance();
@@ -257,7 +257,7 @@ int cmd_tab1(char** argv) {
     std::fprintf(stderr, "%s: no traceEvents array\n", argv[2]);
     return 1;
   }
-  std::map<std::string, Summary> by_name;
+  std::map<std::string, SpanStats> by_name;
   for (const JsonValue& e : events->as_array()) {
     const JsonValue* name = e.find("name");
     const JsonValue* dur = e.find("dur");

@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/tracer.hpp"
@@ -17,7 +18,7 @@
 /// invocation's TransactionId and a parent id (forming a per-invocation span
 /// tree, exportable as a Chrome trace), are recorded into per-thread shards
 /// with no shared lock on the hot path, and the Table 1 aggregate view is
-/// computed by merging the shards on demand.
+/// computed by merging the shards' streaming SpanStats on demand.
 namespace ilu {
 
 /// Canonical span names, in invocation order (Table 1 rows).
@@ -49,7 +50,7 @@ class SpanTracer {
 
   /// Aggregate-only record (no span tree / trace-dump entry): kept for
   /// callers that have a duration but no transaction context.
-  void record(const std::string& name, Duration d) {
+  void record(std::string_view name, Duration d) {
     tx_->record_aggregate(name, d);
   }
 
@@ -66,11 +67,15 @@ class SpanTracer {
   bool enabled() const { return tx_->enabled(); }
 
   /// Mean latency of a span in ms (0 if never recorded).
-  double mean_ms(const std::string& name) const;
-  std::uint64_t count(const std::string& name) const;
+  double mean_ms(std::string_view name) const {
+    return tx_->stats(name).mean();
+  }
+  std::uint64_t count(std::string_view name) const {
+    return tx_->stats(name).count();
+  }
 
   /// All recorded spans merged across shards, keyed and sorted by name.
-  std::map<std::string, Summary> all() const { return tx_->aggregate(); }
+  std::map<std::string, SpanStats> all() const { return tx_->aggregate(); }
 
   /// The merged span records (for Chrome-trace export), sorted by start.
   std::vector<SpanRecord> spans() const { return tx_->collect(); }

@@ -27,7 +27,7 @@ JsonValue chrome_trace_value(const std::vector<SpanRecord>& spans, int pid) {
     args["span"] = JsonValue(s->id);
     args["parent"] = JsonValue(s->parent);
     JsonObject ev;
-    ev["name"] = JsonValue(s->name);
+    ev["name"] = JsonValue(std::string(s->name));
     ev["cat"] = JsonValue("control_plane");
     ev["ph"] = JsonValue("X");
     ev["ts"] = JsonValue(static_cast<std::int64_t>(s->start.count()));

@@ -1,7 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "util/time.hpp"
 
@@ -21,16 +22,19 @@ using TransactionId = std::uint64_t;
 using SpanId = std::uint64_t;
 inline constexpr SpanId kNoSpan = 0;
 
-/// One completed span. `thread` is the index of the per-thread shard that
+/// One completed span. `name` views the process-wide span-name table
+/// (obs/tracer.hpp), which is append-only, so a record stays valid after
+/// its tracer is gone. `thread` is the index of the per-thread shard that
 /// recorded it (exported as the Chrome trace `tid`).
 struct SpanRecord {
   TransactionId tx = 0;
   SpanId id = kNoSpan;
   SpanId parent = kNoSpan;
-  std::string name;
+  std::string_view name;
   TimePoint start{};
   Duration dur{};
   std::uint32_t thread = 0;
 };
+static_assert(std::is_trivially_copyable_v<SpanRecord>);
 
 }  // namespace ilu

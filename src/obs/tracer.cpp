@@ -1,8 +1,10 @@
 #include "obs/tracer.hpp"
-// ilu-lint: atomics-floor(relaxed) - the tracer uid counter only needs uniqueness
+// ilu-lint: atomics-floor(relaxed) - the tracer uid counter only needs uniqueness; the record-cap count is bumped and reset under shard locks
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <deque>
 #include <unordered_map>
 
 #include "util/dcheck.hpp"
@@ -40,12 +42,102 @@ const struct DcheckContextRegistrar {
     detail::g_dcheck_context = &span_dcheck_context;
   }
 } g_dcheck_context_registrar;
+
+/// An interned span name: a dense id (index into the shards' SpanStats
+/// arrays) and a view of the table's copy of the name.
+struct SpanName {
+  std::uint32_t id = 0;
+  std::string_view name;
+};
+
+/// The process-wide span-name table. Names live in a deque, whose elements
+/// never move, so every view handed out stays valid; the table is never
+/// shrunk.
+class SpanNameTable {
+ public:
+  SpanName intern(std::string_view name) {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = ids_.find(name);
+    if (it != ids_.end()) return {it->second, names_[it->second]};
+    const auto id = static_cast<std::uint32_t>(names_.size());
+    const std::string& stored = names_.emplace_back(name);
+    ids_.emplace(stored, id);
+    return {id, stored};
+  }
+
+  std::string_view name(std::uint32_t id) {
+    std::lock_guard<std::mutex> lk(mu_);
+    return names_[id];
+  }
+
+ private:
+  std::mutex mu_;
+  std::deque<std::string> names_;
+  std::unordered_map<std::string_view, std::uint32_t> ids_;
+};
+
+SpanNameTable& span_name_table() {
+  // Never destroyed: a span record held by a static object must not
+  // outlive its name.
+  static auto* table = new SpanNameTable;
+  return *table;
+}
+
+/// Per-thread open-addressed cache in front of the table, keyed by the
+/// caller's pointer (span names are almost always string literals) and
+/// confirmed by content, so a reused buffer now holding another name misses
+/// instead of aliasing. Filled past 3/4 (many distinct buffers), it starts
+/// over.
+class SpanNameCache {
+ public:
+  SpanName lookup(std::string_view name) {
+    if (name.data() == nullptr) name = "";
+    std::size_t i = slot_of(name.data());
+    for (;; i = (i + 1) % kSlots) {
+      Slot& s = slots_[i];
+      if (s.key == nullptr) break;
+      if (s.key == name.data() && s.name.name == name) return s.name;
+    }
+    if (used_ + 1 > kSlots * 3 / 4) {
+      slots_ = {};
+      used_ = 0;
+      i = slot_of(name.data());
+    }
+    ++used_;
+    slots_[i] = {name.data(), span_name_table().intern(name)};
+    return slots_[i].name;
+  }
+
+ private:
+  static constexpr unsigned kBits = 6;
+  static constexpr std::size_t kSlots = std::size_t{1} << kBits;
+  struct Slot {
+    const char* key = nullptr;
+    SpanName name;
+  };
+  static std::size_t slot_of(const char* p) {
+    return static_cast<std::size_t>(
+        (reinterpret_cast<std::uintptr_t>(p) * 0x9E3779B97F4A7C15ull) >>
+        (64 - kBits));
+  }
+  std::array<Slot, kSlots> slots_{};
+  std::size_t used_ = 0;
+};
+
+SpanName cached_span_name(std::string_view name) {
+  thread_local SpanNameCache cache;
+  return cache.lookup(name);
+}
+
+SpanStats& stats_at(std::vector<SpanStats>& stats, std::uint32_t id) {
+  if (id >= stats.size()) stats.resize(id + 1);
+  return stats[id];
+}
 }  // namespace
 
-TransactionTracer::TransactionTracer(bool enabled,
-                                     std::size_t max_records_per_shard)
+TransactionTracer::TransactionTracer(bool enabled, std::size_t max_records)
     : uid_(g_tracer_uid.fetch_add(1, std::memory_order_relaxed) + 1),
-      shard_cap_(max_records_per_shard),
+      record_cap_(max_records),
       enabled_(enabled) {}
 
 TransactionTracer::~TransactionTracer() = default;
@@ -79,29 +171,26 @@ void TransactionTracer::record_with_id(SpanId id, TransactionId tx,
                                        std::string_view name, TimePoint start,
                                        Duration dur, SpanId parent) {
   if (!enabled()) return;
+  const SpanName n = cached_span_name(name);
   Shard& s = local_shard();
   std::lock_guard<SpinLock> lk(s.lock);
-  s.agg[std::string(name)].add_ms(dur);
-  if (s.records.size() >= shard_cap_) {
-    ++s.dropped;
-    return;
-  }
-  SpanRecord r;
-  r.tx = tx;
-  r.id = id;
-  r.parent = parent;
-  r.name = std::string(name);
-  r.start = start;
-  r.dur = dur;
-  r.thread = s.index;
-  s.records.push_back(std::move(r));
+  stats_at(s.stats, n.id).add_ms(dur);
+  if (offered_.fetch_add(1, std::memory_order_relaxed) >= record_cap_) return;
+  s.records.push_back(SpanRecord{.tx = tx,
+                                 .id = id,
+                                 .parent = parent,
+                                 .name = n.name,
+                                 .start = start,
+                                 .dur = dur,
+                                 .thread = s.index});
 }
 
 void TransactionTracer::record_aggregate(std::string_view name, Duration dur) {
   if (!enabled()) return;
+  const SpanName n = cached_span_name(name);
   Shard& s = local_shard();
   std::lock_guard<SpinLock> lk(s.lock);
-  s.agg[std::string(name)].add_ms(dur);
+  stats_at(s.stats, n.id).add_ms(dur);
 }
 
 std::vector<SpanRecord> TransactionTracer::collect() const {
@@ -121,34 +210,53 @@ std::vector<SpanRecord> TransactionTracer::collect() const {
   return out;
 }
 
-std::map<std::string, Summary> TransactionTracer::aggregate() const {
-  std::map<std::string, Summary> out;
+std::map<std::string, SpanStats> TransactionTracer::aggregate() const {
+  std::vector<SpanStats> merged;
+  {
+    std::lock_guard<std::mutex> lk(shards_mu_);
+    for (const auto& s : shards_) {
+      std::lock_guard<SpinLock> sl(s->lock);
+      for (std::uint32_t id = 0; id < s->stats.size(); ++id) {
+        stats_at(merged, id).merge(s->stats[id]);
+      }
+    }
+  }
+  std::map<std::string, SpanStats> out;
+  for (std::uint32_t id = 0; id < merged.size(); ++id) {
+    if (merged[id].count() == 0) continue;
+    // Ids below merged.size() were all handed out by the table already.
+    out.emplace(std::string(span_name_table().name(id)), merged[id]);
+  }
+  return out;
+}
+
+SpanStats TransactionTracer::stats(std::string_view name) const {
+  const std::uint32_t id = cached_span_name(name).id;
+  SpanStats out;
   std::lock_guard<std::mutex> lk(shards_mu_);
   for (const auto& s : shards_) {
     std::lock_guard<SpinLock> sl(s->lock);
-    for (const auto& [name, summary] : s->agg) out[name].merge(summary);
+    if (id < s->stats.size()) out.merge(s->stats[id]);
   }
   return out;
 }
 
 std::uint64_t TransactionTracer::dropped_records() const {
-  std::uint64_t n = 0;
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  for (const auto& s : shards_) {
-    std::lock_guard<SpinLock> sl(s->lock);
-    n += s->dropped;
-  }
-  return n;
+  const std::uint64_t offered = offered_.load(std::memory_order_relaxed);
+  return offered > record_cap_ ? offered - record_cap_ : 0;
 }
 
 void TransactionTracer::clear() {
+  // Every shard's lock at once: a record's offer and its log append happen
+  // under one shard lock, so no record can land on either side of the reset.
   std::lock_guard<std::mutex> lk(shards_mu_);
+  for (const auto& s : shards_) s->lock.lock();
   for (const auto& s : shards_) {
-    std::lock_guard<SpinLock> sl(s->lock);
     s->records.clear();
-    s->agg.clear();
-    s->dropped = 0;
+    s->stats.clear();
   }
+  offered_.store(0, std::memory_order_relaxed);
+  for (const auto& s : shards_) s->lock.unlock();
 }
 
 ScopedSpan::ScopedSpan(TransactionTracer& tracer, Runtime& rt,

@@ -3,6 +3,8 @@
 // ilu-lint: atomics-floor(acquire: flag_) - SpinLock: test_and_set(acquire)/clear(release) is the lock protocol itself
 
 #include <atomic>
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,13 +27,20 @@
 /// the hot path never takes a shared lock. Merging (for export or for the
 /// Table 1 aggregate view) walks all shards on demand.
 ///
-/// Two storage layers per shard:
-///  - an aggregate map name -> Summary, always maintained while enabled
-///    (this is what reproduces Table 1 at any workload scale), and
-///  - the bounded span-record log used for Chrome-trace export; once a
-///    shard's record cap is reached further records are counted as dropped
-///    rather than grown without bound (long trace replays would otherwise
-///    accumulate gigabytes of spans).
+/// Span names are interned once into a process-wide, append-only table that
+/// is never destroyed (one entry per distinct name ever used), so a
+/// SpanRecord's name view stays valid after its tracer is gone; a per-thread
+/// cache keyed by the caller's pointer makes the lookup allocation-free
+/// after a name's first use on a thread.
+/// Two storage layers, both bounded:
+///  - per shard, a flat SpanStats array indexed by name id (count, sum,
+///    min, max), always maintained while enabled — this is what reproduces
+///    Table 1 at any workload scale, in memory independent of its length;
+///  - the span-record log used for Chrome-trace export, capped per tracer
+///    (not per shard): the first `max_records` records offered are kept,
+///    later ones are counted as dropped. A per-shard cap would not bound a
+///    tracer whose recording threads come and go (a ShardedRuntime starts
+///    fresh threads for every run_until call).
 ///
 /// When disabled, record() is a single relaxed atomic load and return — the
 /// paper ships tracing off by default precisely because the disabled path
@@ -40,13 +49,12 @@ namespace ilu {
 
 class TransactionTracer {
  public:
-  /// Default cap on span records held per shard (~16 MB of spans); the
-  /// aggregate view is unaffected by the cap.
-  static constexpr std::size_t kDefaultShardCap = 1u << 18;
+  /// Default cap on span records held per tracer (16 MB of 64-byte
+  /// records); the aggregate view is unaffected by the cap.
+  static constexpr std::size_t kDefaultRecordCap = 1u << 18;
 
   explicit TransactionTracer(bool enabled = true,
-                             std::size_t max_records_per_shard =
-                                 kDefaultShardCap);
+                             std::size_t max_records = kDefaultRecordCap);
   ~TransactionTracer();
 
   TransactionTracer(const TransactionTracer&) = delete;
@@ -76,21 +84,24 @@ class TransactionTracer {
   void record_with_id(SpanId id, TransactionId tx, std::string_view name,
                       TimePoint start, Duration dur, SpanId parent);
 
-  /// Aggregate-only record: contributes to the Table 1 summaries without
-  /// appending to the span-record log (legacy SpanTracer::record path).
+  /// Aggregate-only record: contributes to the Table 1 aggregates without
+  /// offering a record to the span log (legacy SpanTracer::record path).
   void record_aggregate(std::string_view name, Duration dur);
 
   /// Merge all shards: span records sorted by (start, id).
   std::vector<SpanRecord> collect() const;
 
-  /// Merge all shards' aggregate maps (Table 1 view).
-  std::map<std::string, Summary> aggregate() const;
+  /// Merge all shards' aggregates (Table 1 view), names recorded only.
+  std::map<std::string, SpanStats> aggregate() const;
 
-  /// Records refused because a shard hit its cap.
+  /// One name's aggregate merged across shards (empty if never recorded).
+  SpanStats stats(std::string_view name) const;
+
+  /// Records refused because the tracer's record cap was reached.
   std::uint64_t dropped_records() const;
 
-  /// Reset all shards (records, aggregates, drop counts). Safe to call
-  /// concurrently with recording; ids keep advancing.
+  /// Reset all shards (records, aggregates) and the record cap's count.
+  /// Safe to call concurrently with recording; ids keep advancing.
   void clear();
 
  private:
@@ -113,19 +124,25 @@ class TransactionTracer {
 
   struct Shard {
     SpinLock lock;
-    std::vector<SpanRecord> records;
-    std::map<std::string, Summary> agg;
-    std::uint64_t dropped = 0;
+    /// A deque, not a vector: appends never copy the log or grow it past
+    /// its size (a doubling vector's reallocations cost more than the
+    /// record itself on fresh memory).
+    std::deque<SpanRecord> records;
+    std::vector<SpanStats> stats;  // indexed by interned name id
     std::uint32_t index = 0;
   };
 
   Shard& local_shard();
 
   const std::uint64_t uid_;  // keys the thread-local shard cache
-  const std::size_t shard_cap_;
+  const std::size_t record_cap_;
   std::atomic<bool> enabled_;
   std::atomic<std::uint64_t> next_tx_{0};
   std::atomic<std::uint64_t> next_span_{0};
+  /// Records offered to the log since the last clear(), kept or dropped;
+  /// bumped under the recording shard's lock, so clear() (which holds every
+  /// shard's lock) resets it atomically with the logs.
+  std::atomic<std::uint64_t> offered_{0};
   mutable std::mutex shards_mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -15,6 +16,8 @@
 ///   warm/cold execution-time estimates that drive SJF/EEDF queueing.
 /// - ExpDecayAverage: Unix-style exponentially decayed load average.
 /// - Summary / percentile helpers for reporting (Fig 1's p50/p99).
+/// - SpanStats: fixed-size streaming count/sum/min/max (the tracer's
+///   per-span-name aggregate; Table 1 needs only means and counts).
 /// - SlidingRateMeter: events-per-second over a window (Fig 8 miss speed).
 namespace ilu {
 
@@ -97,12 +100,6 @@ class Summary {
     sorted_ = false;
   }
   void add_ms(Duration d) { add(to_ms(d)); }
-  /// Append another summary's samples (shard merging in the tracer).
-  void merge(const Summary& other) {
-    values_.insert(values_.end(), other.values_.begin(),
-                   other.values_.end());
-    sorted_ = false;
-  }
   std::size_t count() const { return values_.size(); }
   double mean() const;
   double min() const;
@@ -117,6 +114,41 @@ class Summary {
   void ensure_sorted() const;
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
+};
+
+/// Streaming aggregate of a sample: count, sum, min and max in 32 bytes,
+/// whatever the sample size. The sum accumulates in add() order, so over
+/// one add() sequence mean() is bit-identical to Summary::mean() of the same
+/// values; merge() adds partial sums, so a merged mean may differ from a
+/// one-pass mean in the last bits.
+class SpanStats {
+ public:
+  void add(double x) {
+    ++n_;
+    sum_ += x;
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+  void add_ms(Duration d) { add(to_ms(d)); }
+  void merge(const SpanStats& o) {
+    n_ += o.n_;
+    sum_ += o.sum_;
+    min_ = std::min(min_, o.min_);
+    max_ = std::max(max_, o.max_);
+  }
+  std::size_t count() const { return n_; }
+  /// 0 when empty, like Summary.
+  double mean() const {
+    return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_);
+  }
+  double min() const { return n_ == 0 ? 0.0 : min_; }
+  double max() const { return n_ == 0 ? 0.0 : max_; }
+
+ private:
+  std::size_t n_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Fixed-width bucketed histogram over [0, bucket_width * num_buckets).

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -53,7 +54,7 @@ TEST(TransactionTracer, DisabledTracerRecordsNothing) {
 }
 
 TEST(TransactionTracer, ShardCapCountsDroppedRecords) {
-  TransactionTracer t(/*enabled=*/true, /*max_records_per_shard=*/4);
+  TransactionTracer t(/*enabled=*/true, /*max_records=*/4);
   TransactionId tx = t.begin_transaction();
   for (int i = 0; i < 10; ++i) t.record(tx, "s", usecs(i), usecs(1));
   EXPECT_EQ(t.collect().size(), 4u);
@@ -62,6 +63,56 @@ TEST(TransactionTracer, ShardCapCountsDroppedRecords) {
   auto agg = t.aggregate();
   ASSERT_TRUE(agg.count("s"));
   EXPECT_EQ(agg.at("s").count(), 10u);
+  // clear() restarts the cap's count.
+  t.clear();
+  t.record(tx, "s", usecs(0), usecs(1));
+  EXPECT_EQ(t.collect().size(), 1u);
+  EXPECT_EQ(t.dropped_records(), 0u);
+}
+
+TEST(TransactionTracer, RecordCapHoldsAcrossShortLivedThreads) {
+  // A ShardedRuntime starts fresh threads on every run_until call, and each
+  // new thread gets a fresh shard: the cap must bound the tracer, not the
+  // shard, and keep the first records offered.
+  constexpr std::size_t kCap = 100;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 40;
+  TransactionTracer t(/*enabled=*/true, kCap);
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    std::thread([&t] {
+      TransactionId tx = t.begin_transaction();
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        t.record(tx, "s", usecs(static_cast<std::int64_t>(i)), usecs(1));
+      }
+    }).join();
+  }
+  auto spans = t.collect();
+  ASSERT_EQ(spans.size(), kCap);
+  EXPECT_EQ(t.dropped_records(), kThreads * kPerThread - kCap);
+  SpanId max_id = kNoSpan;
+  for (const auto& s : spans) max_id = std::max(max_id, s.id);
+  EXPECT_EQ(max_id, kCap);
+  EXPECT_EQ(t.aggregate().at("s").count(), kThreads * kPerThread);
+}
+
+TEST(TransactionTracer, RecordNamesOutliveTracerAndCallerBuffer) {
+  std::vector<SpanRecord> kept;
+  {
+    TransactionTracer t;
+    char buf[] = "alpha_stage";
+    t.record(t.begin_transaction(), buf, usecs(0), usecs(1));
+    // Same buffer, new content: the per-thread name cache must not alias.
+    std::memcpy(buf, "omega", sizeof("omega"));
+    t.record(t.begin_transaction(), buf, usecs(1), usecs(3));
+    auto agg = t.aggregate();
+    EXPECT_EQ(agg.at("alpha_stage").count(), 1u);
+    EXPECT_EQ(agg.at("omega").count(), 1u);
+    EXPECT_DOUBLE_EQ(agg.at("omega").mean(), 0.003);
+    kept = t.collect();
+  }
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].name, "alpha_stage");
+  EXPECT_EQ(kept[1].name, "omega");
 }
 
 TEST(TransactionTracer, ClearResetsRecordsAndAggregates) {
@@ -95,7 +146,7 @@ TEST(ScopedSpan, NestedScopesFormParentChildTree) {
   }
   auto spans = t.collect();
   ASSERT_EQ(spans.size(), 2u);
-  std::map<std::string, SpanRecord> by_name;
+  std::map<std::string_view, SpanRecord> by_name;
   for (auto& s : spans) by_name[s.name] = s;
   EXPECT_EQ(by_name.at("outer").id, outer_id);
   EXPECT_EQ(by_name.at("outer").parent, kNoSpan);

@@ -25,8 +25,13 @@ TEST(ObsConcurrency, LoggerMetricsAndTracerUnderContention) {
   LogLevel level_before = log_level();
   set_log_level(LogLevel::Warn);
 
+  constexpr std::uint64_t kTotal =
+      std::uint64_t(kThreads) * std::uint64_t(kIters);
+
   MetricsRegistry reg;
-  TransactionTracer tracer;
+  // The record cap is per tracer; size it for every record this test makes
+  // so the zero-drop check below stays exact.
+  TransactionTracer tracer(/*enabled=*/true, /*max_records=*/2 * kTotal);
   // Wire-time registration, hot-path updates through cached pointers — the
   // same discipline the worker uses.
   Counter* ops = reg.counter("hammer.ops");
@@ -65,8 +70,6 @@ TEST(ObsConcurrency, LoggerMetricsAndTracerUnderContention) {
   set_log_level(level_before);
   set_log_sink(nullptr);
 
-  constexpr std::uint64_t kTotal =
-      std::uint64_t(kThreads) * std::uint64_t(kIters);
   EXPECT_EQ(ops->value(), kTotal);
   EXPECT_EQ(level->value(), 0);
   EXPECT_EQ(lat->count(), kTotal);
@@ -76,8 +79,7 @@ TEST(ObsConcurrency, LoggerMetricsAndTracerUnderContention) {
   EXPECT_EQ(agg.at("stage").count(), kTotal);
   EXPECT_EQ(agg.at("agg_only").count(), kTotal);
 
-  // Record log is complete up to the shard caps (8 shards, default cap is
-  // far above 2 * kIters records per shard, so nothing should drop).
+  // Record log is complete: the cap admits all 2 * kTotal records.
   EXPECT_EQ(tracer.dropped_records(), 0u);
   EXPECT_EQ(tracer.collect().size(), 2 * kTotal);
 
@@ -93,9 +95,9 @@ TEST(ObsConcurrency, LoggerMetricsAndTracerUnderContention) {
 }
 
 TEST(ObsConcurrency, ClearWhileRecording) {
-  // Small shard cap: bounds the work each clear/collect races against, so
+  // Small record cap: bounds the work each clear/collect races against, so
   // the test stays fast under TSan while still exercising the same paths.
-  TransactionTracer tracer(/*enabled=*/true, /*max_records_per_shard=*/1024);
+  TransactionTracer tracer(/*enabled=*/true, /*max_records=*/1024);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < kThreads - 1; ++w) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "lb/cluster.hpp"
@@ -16,7 +18,7 @@
 namespace ilu {
 namespace {
 
-TraceArena small_cluster_arena() {
+TraceArena small_cluster_arena(double target_rps = 3.0) {
   AzureModelConfig cfg;
   cfg.population = 1500;
   cfg.days = 0.05;
@@ -28,7 +30,7 @@ TraceArena small_cluster_arena() {
   cfg.min_init_s = 0.05;
   cfg.max_init_s = 2.0;
   AzureTraceModel model(cfg);
-  return model.sample_random_arena(40, /*target_rps=*/3.0);
+  return model.sample_random_arena(40, target_rps);
 }
 
 struct RunResult {
@@ -38,6 +40,9 @@ struct RunResult {
   std::uint64_t warm = 0;
   std::uint64_t cold = 0;
   std::uint64_t windows = 0;
+  /// Per worker: its tracer's span log and dropped-record count.
+  std::vector<std::vector<SpanRecord>> spans;
+  std::vector<std::uint64_t> dropped;
 };
 
 RunResult run_cluster(std::size_t shards, const TraceArena& arena,
@@ -74,6 +79,8 @@ RunResult run_cluster(std::size_t shards, const TraceArena& arena,
   for (std::size_t i = 0; i < cluster.num_workers(); ++i) {
     out.warm += cluster.worker(i).warm_starts();
     out.cold += cluster.worker(i).cold_starts();
+    out.spans.push_back(cluster.worker(i).tracer().spans());
+    out.dropped.push_back(cluster.worker(i).tracer().tx().dropped_records());
   }
   out.windows = srt.windows();
   return out;
@@ -105,6 +112,37 @@ TEST(ShardedCluster, EquivalenceHoldsForEveryPolicy) {
     auto sharded = run_cluster(3, arena, lb);
     EXPECT_EQ(sharded.report_json, serial.report_json);
     EXPECT_EQ(sharded.routed, serial.routed);
+  }
+}
+
+TEST(ShardedCluster, SpanLogCappedPerTracerAndSameAtAnyShardCount) {
+  // Every run_for call starts fresh shard threads, so a worker's tracer
+  // sees a new recording thread per 30 s slice. The record cap must bound
+  // the tracer, not each thread's shard, and since it keeps the first
+  // records in the worker's own event order, the log must not depend on
+  // the shard count (only `thread`, the recording shard's index, may).
+  // Round-robin spreads the dense trace evenly, so every worker passes the
+  // default cap.
+  auto arena = small_cluster_arena(/*target_rps=*/22.0);
+  auto serial = run_cluster(1, arena, LbPolicy::RoundRobin);
+  auto sharded = run_cluster(4, arena, LbPolicy::RoundRobin);
+  auto fields = [](const std::vector<SpanRecord>& log) {
+    std::vector<std::tuple<TransactionId, SpanId, SpanId, std::string_view,
+                           TimePoint, Duration>>
+        out;
+    for (const auto& r : log) {
+      out.emplace_back(r.tx, r.id, r.parent, r.name, r.start, r.dur);
+    }
+    return out;
+  };
+  ASSERT_EQ(sharded.spans.size(), serial.spans.size());
+  for (std::size_t w = 0; w < serial.spans.size(); ++w) {
+    EXPECT_EQ(sharded.spans[w].size(), TransactionTracer::kDefaultRecordCap)
+        << "worker " << w;
+    EXPECT_GT(sharded.dropped[w], 0u) << "worker " << w;
+    EXPECT_EQ(sharded.dropped[w], serial.dropped[w]) << "worker " << w;
+    EXPECT_TRUE(fields(sharded.spans[w]) == fields(serial.spans[w]))
+        << "worker " << w << "'s span log depends on the shard count";
   }
 }
 

@@ -155,6 +155,59 @@ TEST(Summary, AddDurationMs) {
   EXPECT_NEAR(s.mean(), 2.5, 1e-9);
 }
 
+TEST(SpanStats, MatchesSummaryExactly) {
+  // Heavy-tailed durations in ms, the shape the tracer aggregates: count,
+  // min and max must agree exactly and, over one add() sequence, the mean
+  // must be bit-identical (both sum in add() order).
+  Rng rng(11);
+  Summary ref;
+  SpanStats st;
+  for (int i = 0; i < 100000; ++i) {
+    const Duration d = usecs(static_cast<std::int64_t>(rng.exponential(800.0)));
+    ref.add_ms(d);
+    st.add_ms(d);
+  }
+  EXPECT_EQ(st.count(), ref.count());
+  EXPECT_EQ(st.min(), ref.min());
+  EXPECT_EQ(st.max(), ref.max());
+  EXPECT_EQ(st.mean(), ref.mean());
+}
+
+TEST(SpanStats, MergeIsExactForCountMinMax) {
+  Rng rng(5);
+  Summary ref;
+  SpanStats parts[3];
+  for (int i = 0; i < 30000; ++i) {
+    const double x = rng.uniform(0.0, 50.0);
+    ref.add(x);
+    parts[i % 3].add(x);
+  }
+  SpanStats merged;
+  for (const auto& p : parts) merged.merge(p);
+  EXPECT_EQ(merged.count(), ref.count());
+  EXPECT_EQ(merged.min(), ref.min());
+  EXPECT_EQ(merged.max(), ref.max());
+  // Partial sums reassociate the additions: equal to rounding only.
+  EXPECT_NEAR(merged.mean(), ref.mean(), 1e-12 * ref.mean());
+  // Merging into an empty aggregate changes nothing (one-shard merges).
+  SpanStats single;
+  single.merge(parts[0]);
+  EXPECT_EQ(single.mean(), parts[0].mean());
+}
+
+TEST(SpanStats, EmptyIsZeroLikeSummary) {
+  SpanStats st;
+  EXPECT_EQ(st.count(), 0u);
+  EXPECT_EQ(st.mean(), 0.0);
+  EXPECT_EQ(st.min(), 0.0);
+  EXPECT_EQ(st.max(), 0.0);
+  SpanStats empty;
+  st.add(-2.0);
+  st.merge(empty);
+  EXPECT_EQ(st.min(), -2.0);
+  EXPECT_EQ(st.max(), -2.0);
+}
+
 TEST(BucketHistogram, QuantileUpperBound) {
   BucketHistogram h(1.0, 10);
   // 5 samples in bucket 0, 5 in bucket 4.
