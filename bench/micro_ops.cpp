@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "cpu_model_churn.hpp"
 #include "iluvatar.hpp"
 #include "mutex_heap_runtime.hpp"
 
@@ -257,6 +258,18 @@ void BM_CpuModelSubmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_CpuModelSubmit);
+
+// One completion and one submit per iteration against `state.range(0)`
+// running tasks: the per-event table walks a live worker pays at load.
+void BM_CpuModelChurn(benchmark::State& state) {
+  bench::CpuModelChurn churn(static_cast<std::size_t>(state.range(0)));
+  for (int i = 0; i < 1000; ++i) churn.step();  // reach steady capacity
+  const std::uint64_t before = churn.completed();
+  for (auto _ : state) churn.step();
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(churn.completed() - before));
+}
+BENCHMARK(BM_CpuModelChurn)->Arg(128);
 
 void BM_WorkerWarmInvocationPath(benchmark::State& state) {
   // Full warm-path event chain through the worker on the sim runtime with

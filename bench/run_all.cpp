@@ -23,12 +23,24 @@
 // dispatch_per_invocation, memory_requeues},
 // fig4_sweep:{cells, threads, wall_s_1thread, wall_s_nthreads, speedup},
 // lint:{files, findings, wall_s, checks}, obs:{recorder_ns_per_event,
-// recorder_disabled_ns_per_event, hist_ns_per_record}}]}.
+// recorder_disabled_ns_per_event, hist_ns_per_record}, cpu_model:{running,
+// churn_ns_per_op:SPREAD}, live:{wheel_ops_per_sec, heap_ops_per_sec,
+// wheel_contended_ops_per_sec, heap_contended_ops_per_sec,
+// contended_speedup, serve_target_per_min, serve_repeats,
+// serve_achieved_per_sec, serve_completed, serve_timed_out,
+// serve_overhead_p50_ms, serve_overhead_p99_ms, serve_overhead_p999_ms,
+// serve_loop_cpu_us_per_inv, serve_spread:{achieved_per_sec,
+// overhead_p50_ms, overhead_p99_ms, loop_cpu_us_per_inv: SPREAD}}}]}, where
+// SPREAD = {min, median, max} over the repeats and the live serve_* scalars
+// are the medians (serve_timed_out: any repeat timed out).
 // Fields are never renamed, so downstream tooling can diff runs across PRs;
 // fields of a deleted subsystem go with it (CHANGES.md lists which). Note:
 // without free cores cluster_scaling.speedup < 1 by construction (barriers
 // with no parallel hardware); `equivalent` is the load-bearing field there.
 
+#include <time.h>
+
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -40,6 +52,7 @@
 #include <thread>
 
 #include "bench_util.hpp"
+#include "cpu_model_churn.hpp"
 #include "lint/lint.hpp"
 #include "mutex_heap_runtime.hpp"
 #include "pointer_pool_baseline.hpp"
@@ -66,6 +79,27 @@ double best_ops_per_sec(std::uint64_t ops, int reps, F&& body) {
     if (s > 0.0) best = std::max(best, static_cast<double>(ops) / s);
   }
   return best;
+}
+
+/// Min / median / max of a few repeats of one measurement.
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  return {v.front(), v[v.size() / 2], v.back()};
+}
+
+JsonObject spread_json(const Spread& s) {
+  JsonObject o;
+  o["min"] = s.min;
+  o["median"] = s.median;
+  o["max"] = s.max;
+  return o;
 }
 
 /// The worker's realistic schedule/cancel/fire mix: ~40 B captures and a
@@ -604,6 +638,37 @@ ObsTiming obs_timing(int iters) {
   return out;
 }
 
+/// CpuModel with 128 running tasks, one completion and one submit per op
+/// (mirrors micro_ops::BM_CpuModelChurn/128): ns per op, one value per
+/// repeat.
+constexpr std::size_t kChurnRunning = 128;
+
+Spread cpu_model_churn_ns_per_op(int steps, int repeats) {
+  std::vector<double> ns;
+  for (int r = 0; r < repeats; ++r) {
+    CpuModelChurn churn(kChurnRunning);
+    for (int i = 0; i < 1000; ++i) churn.step();
+    const std::uint64_t before = churn.completed();
+    auto t0 = Clock::now();
+    for (int i = 0; i < steps; ++i) churn.step();
+    const double s = seconds_since(t0);
+    ns.push_back(1e9 * s / static_cast<double>(churn.completed() - before));
+  }
+  return spread_of(std::move(ns));
+}
+
+/// One miniature serving stage. `loop_cpu_us_per_inv` is the loop
+/// thread's CPU time over the stage divided by completed invocations.
+struct ServeRun {
+  double achieved_per_sec = 0.0;
+  double completed = 0.0;
+  bool timed_out = false;
+  double overhead_p50_ms = 0.0;
+  double overhead_p99_ms = 0.0;
+  double overhead_p999_ms = 0.0;
+  double loop_cpu_us_per_inv = 0.0;
+};
+
 /// Live (wall-clock) engine: the sharded-stage timer wheel vs the retired
 /// mutex + priority_queue + tombstone runtime
 /// (bench/mutex_heap_runtime.hpp), measured as wall-clock op throughput
@@ -616,13 +681,28 @@ struct LiveEngineTiming {
   double heap_contended_ops_per_sec = 0.0;
   double contended_speedup = 0.0;
   double serve_target_per_min = 0.0;
-  double serve_achieved_per_sec = 0.0;
-  std::uint64_t serve_completed = 0;
-  bool serve_timed_out = false;
-  double serve_overhead_p50_ms = 0.0;
-  double serve_overhead_p99_ms = 0.0;
-  double serve_overhead_p999_ms = 0.0;
+  int serve_repeats = 0;
+  bool serve_timed_out = false;  // any repeat
+  Spread serve_achieved_per_sec;
+  Spread serve_completed;
+  Spread serve_overhead_p50_ms;
+  Spread serve_overhead_p99_ms;
+  Spread serve_overhead_p999_ms;
+  Spread serve_loop_cpu_us_per_inv;
 };
+
+/// CPU time the runtime's loop thread has used so far, read on that thread.
+double loop_thread_cpu_us(RealRuntime& rt) {
+  std::atomic<std::int64_t> ns{-1};
+  rt.post([&ns] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    ns.store(static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec,
+             std::memory_order_release);
+  });
+  while (ns.load(std::memory_order_acquire) < 0) std::this_thread::yield();
+  return 1e-3 * static_cast<double>(ns.load(std::memory_order_relaxed));
+}
 
 /// Cross-thread schedule+cancel against a live loop thread, 1ms deadlines.
 template <class RT>
@@ -671,28 +751,16 @@ double live_contended_ops_per_sec(int rounds) {
   return s > 0.0 ? kProducers * rounds * 512.0 * 1.5 / s : 0.0;
 }
 
-LiveEngineTiming live_engine_timing(bool smoke) {
-  LiveEngineTiming out;
-  const int rounds = smoke ? 40 : 400;
-  out.wheel_ops_per_sec = live_sched_cancel_ops_per_sec<RealRuntime>(rounds);
-  out.heap_ops_per_sec =
-      live_sched_cancel_ops_per_sec<bench::MutexHeapRuntime>(rounds);
-  out.wheel_contended_ops_per_sec =
-      live_contended_ops_per_sec<RealRuntime>(rounds);
-  out.heap_contended_ops_per_sec =
-      live_contended_ops_per_sec<bench::MutexHeapRuntime>(rounds);
-  out.contended_speedup =
-      out.heap_contended_ops_per_sec > 0.0
-          ? out.wheel_contended_ops_per_sec / out.heap_contended_ops_per_sec
-          : 0.0;
+/// Miniature serving stage through a real Worker. Smoke keeps the rate tiny
+/// (sanitizer matrices run this harness); the full run offers 1M
+/// invocations/minute.
+double serve_per_min(bool smoke) { return smoke ? 30000.0 : 1000000.0; }
 
-  // Miniature serving stage. Smoke keeps the rate tiny (sanitizer matrices
-  // run this harness); the full run offers 1M invocations/minute.
-  const double per_min = smoke ? 30000.0 : 1000000.0;
-  const double per_sec = per_min / 60.0;
+ServeRun serve_stage(bool smoke) {
+  ServeRun out;
+  const double per_sec = serve_per_min(smoke) / 60.0;
   const Duration duration = smoke ? usecs(1500000) : secs(3);
   constexpr std::size_t kFns = 64;
-  out.serve_target_per_min = per_min;
   {
     RealRuntime rt;
     WorkerConfig cfg;
@@ -749,13 +817,18 @@ LiveEngineTiming live_engine_timing(bool smoke) {
     LiveLoadConfig lcfg;
     lcfg.producers = smoke ? 2 : 4;
     LiveLoadStats stats;
+    const double cpu0 = loop_thread_cpu_us(rt);
     harness.run(view, lcfg, &stats);
-    out.serve_achieved_per_sec = stats.achieved_per_sec;
-    out.serve_completed = stats.completed.load(std::memory_order_relaxed);
-    out.serve_timed_out = stats.timed_out;
-    out.serve_overhead_p50_ms = stats.overhead_ms.percentile(0.50);
-    out.serve_overhead_p99_ms = stats.overhead_ms.percentile(0.99);
-    out.serve_overhead_p999_ms = stats.overhead_ms.percentile(0.999);
+    const double cpu1 = loop_thread_cpu_us(rt);
+    const auto completed = stats.completed.load(std::memory_order_relaxed);
+    out.achieved_per_sec = stats.achieved_per_sec;
+    out.completed = static_cast<double>(completed);
+    out.timed_out = stats.timed_out;
+    out.overhead_p50_ms = stats.overhead_ms.percentile(0.50);
+    out.overhead_p99_ms = stats.overhead_ms.percentile(0.99);
+    out.overhead_p999_ms = stats.overhead_ms.percentile(0.999);
+    out.loop_cpu_us_per_inv =
+        completed > 0 ? (cpu1 - cpu0) / static_cast<double>(completed) : 0.0;
     std::atomic<bool> down{false};
     rt.post([&w, &down] {
       w.shutdown();
@@ -765,6 +838,45 @@ LiveEngineTiming live_engine_timing(bool smoke) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
+  return out;
+}
+
+LiveEngineTiming live_engine_timing(bool smoke) {
+  LiveEngineTiming out;
+  const int rounds = smoke ? 40 : 400;
+  out.wheel_ops_per_sec = live_sched_cancel_ops_per_sec<RealRuntime>(rounds);
+  out.heap_ops_per_sec =
+      live_sched_cancel_ops_per_sec<bench::MutexHeapRuntime>(rounds);
+  out.wheel_contended_ops_per_sec =
+      live_contended_ops_per_sec<RealRuntime>(rounds);
+  out.heap_contended_ops_per_sec =
+      live_contended_ops_per_sec<bench::MutexHeapRuntime>(rounds);
+  out.contended_speedup =
+      out.heap_contended_ops_per_sec > 0.0
+          ? out.wheel_contended_ops_per_sec / out.heap_contended_ops_per_sec
+          : 0.0;
+
+  // The serving stage is repeated (once under --smoke) and reported as a
+  // spread: one open-loop stage on a shared host moves by tens of percent.
+  out.serve_target_per_min = serve_per_min(smoke);
+  out.serve_repeats = smoke ? 1 : 3;
+  std::vector<double> achieved, completed, p50, p99, p999, cpu;
+  for (int r = 0; r < out.serve_repeats; ++r) {
+    const ServeRun run = serve_stage(smoke);
+    out.serve_timed_out = out.serve_timed_out || run.timed_out;
+    achieved.push_back(run.achieved_per_sec);
+    completed.push_back(run.completed);
+    p50.push_back(run.overhead_p50_ms);
+    p99.push_back(run.overhead_p99_ms);
+    p999.push_back(run.overhead_p999_ms);
+    cpu.push_back(run.loop_cpu_us_per_inv);
+  }
+  out.serve_achieved_per_sec = spread_of(std::move(achieved));
+  out.serve_completed = spread_of(std::move(completed));
+  out.serve_overhead_p50_ms = spread_of(std::move(p50));
+  out.serve_overhead_p99_ms = spread_of(std::move(p99));
+  out.serve_overhead_p999_ms = spread_of(std::move(p999));
+  out.serve_loop_cpu_us_per_inv = spread_of(std::move(cpu));
   return out;
 }
 
@@ -892,6 +1004,12 @@ int main(int argc, char** argv) {
   std::printf("%-36s %12.1f ns\n", "log-hist observe",
               ob.hist_ns_per_record);
 
+  const Spread churn =
+      cpu_model_churn_ns_per_op(smoke ? 20000 : 200000, smoke ? 1 : 3);
+  std::printf("%-36s %6.0f/%6.0f/%6.0f ns\n",
+              "cpu model churn x128 min/med/max", churn.min, churn.median,
+              churn.max);
+
   auto lv = live_engine_timing(smoke);
   std::printf("%-36s %12.0f /s\n", "live sched+cancel (wheel)",
               lv.wheel_ops_per_sec);
@@ -903,12 +1021,22 @@ int main(int argc, char** argv) {
               lv.heap_contended_ops_per_sec);
   std::printf("%-36s %12.2fx\n", "live contended wheel speedup",
               lv.contended_speedup);
-  std::printf("%-36s %12.0f /s (target %.0f/min)%s\n", "live serve achieved",
-              lv.serve_achieved_per_sec, lv.serve_target_per_min,
+  std::printf("%-36s %12.0f /s (target %.0f/min, %d repeat(s))%s\n",
+              "live serve achieved (median)", lv.serve_achieved_per_sec.median,
+              lv.serve_target_per_min, lv.serve_repeats,
               lv.serve_timed_out ? " [TIMED OUT]" : "");
+  std::printf("%-36s %6.0f/%6.0f/%6.0f /s\n",
+              "live serve achieved min/med/max", lv.serve_achieved_per_sec.min,
+              lv.serve_achieved_per_sec.median, lv.serve_achieved_per_sec.max);
   std::printf("%-36s %7.2f/%7.2f/%7.2f ms\n",
-              "live serve overhead p50/p99/p999", lv.serve_overhead_p50_ms,
-              lv.serve_overhead_p99_ms, lv.serve_overhead_p999_ms);
+              "live serve overhead p50/p99/p999",
+              lv.serve_overhead_p50_ms.median, lv.serve_overhead_p99_ms.median,
+              lv.serve_overhead_p999_ms.median);
+  std::printf("%-36s %7.2f/%7.2f/%7.2f us\n",
+              "live serve loop cpu/inv min/med/max",
+              lv.serve_loop_cpu_us_per_inv.min,
+              lv.serve_loop_cpu_us_per_inv.median,
+              lv.serve_loop_cpu_us_per_inv.max);
 
   // Append this run to the trajectory file (create if absent).
   JsonObject run;
@@ -978,6 +1106,10 @@ int main(int argc, char** argv) {
   obs["recorder_disabled_ns_per_event"] = ob.recorder_disabled_ns_per_event;
   obs["hist_ns_per_record"] = ob.hist_ns_per_record;
   run["obs"] = obs;
+  JsonObject cpu_model;
+  cpu_model["running"] = static_cast<std::uint64_t>(kChurnRunning);
+  cpu_model["churn_ns_per_op"] = spread_json(churn);
+  run["cpu_model"] = cpu_model;
   JsonObject live;
   live["wheel_ops_per_sec"] = lv.wheel_ops_per_sec;
   live["heap_ops_per_sec"] = lv.heap_ops_per_sec;
@@ -985,12 +1117,22 @@ int main(int argc, char** argv) {
   live["heap_contended_ops_per_sec"] = lv.heap_contended_ops_per_sec;
   live["contended_speedup"] = lv.contended_speedup;
   live["serve_target_per_min"] = lv.serve_target_per_min;
-  live["serve_achieved_per_sec"] = lv.serve_achieved_per_sec;
-  live["serve_completed"] = lv.serve_completed;
+  live["serve_repeats"] = static_cast<std::int64_t>(lv.serve_repeats);
+  live["serve_achieved_per_sec"] = lv.serve_achieved_per_sec.median;
+  live["serve_completed"] =
+      static_cast<std::uint64_t>(lv.serve_completed.median);
   live["serve_timed_out"] = lv.serve_timed_out;
-  live["serve_overhead_p50_ms"] = lv.serve_overhead_p50_ms;
-  live["serve_overhead_p99_ms"] = lv.serve_overhead_p99_ms;
-  live["serve_overhead_p999_ms"] = lv.serve_overhead_p999_ms;
+  live["serve_overhead_p50_ms"] = lv.serve_overhead_p50_ms.median;
+  live["serve_overhead_p99_ms"] = lv.serve_overhead_p99_ms.median;
+  live["serve_overhead_p999_ms"] = lv.serve_overhead_p999_ms.median;
+  live["serve_loop_cpu_us_per_inv"] = lv.serve_loop_cpu_us_per_inv.median;
+  JsonObject serve_spread;
+  serve_spread["achieved_per_sec"] = spread_json(lv.serve_achieved_per_sec);
+  serve_spread["overhead_p50_ms"] = spread_json(lv.serve_overhead_p50_ms);
+  serve_spread["overhead_p99_ms"] = spread_json(lv.serve_overhead_p99_ms);
+  serve_spread["loop_cpu_us_per_inv"] =
+      spread_json(lv.serve_loop_cpu_us_per_inv);
+  live["serve_spread"] = serve_spread;
   run["live"] = live;
 
   JsonObject doc;

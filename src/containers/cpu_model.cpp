@@ -1,5 +1,6 @@
 #include "containers/cpu_model.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -48,7 +49,7 @@ void CpuModel::advance() {
   double dt = to_sec(now - last_advance_);
   last_advance_ = now;
   if (dt <= 0.0 || tasks_.empty()) return;
-  for (auto& [id, t] : tasks_) {
+  for (Row& t : tasks_) {
     t.remaining -= t.rate * dt;
     if (t.remaining < 0.0) t.remaining = 0.0;
   }
@@ -62,7 +63,7 @@ void CpuModel::recompute_and_schedule() {
   if (tasks_.empty()) return;
 
   double min_eta = std::numeric_limits<double>::infinity();
-  for (auto& [id, t] : tasks_) {
+  for (Row& t : tasks_) {
     t.rate = rate_for(t.weight);
     double eta = t.rate > 0.0 ? t.remaining / t.rate : 0.0;
     if (eta < min_eta) min_eta = eta;
@@ -77,34 +78,42 @@ void CpuModel::recompute_and_schedule() {
 void CpuModel::on_completion_event() {
   completion_timer_ = Runtime::kInvalidTimer;
   advance();
-  std::vector<Runtime::Task> done;
-  for (auto it = tasks_.begin(); it != tasks_.end();) {
-    if (it->second.remaining <= kWorkEpsilon) {
-      done.push_back(std::move(it->second.on_complete));
-      total_weight_ -= it->second.weight;
-      it = tasks_.erase(it);
+  // Compact the finished rows out in place, keeping TaskId order.
+  auto kept = tasks_.begin();
+  for (Row& t : tasks_) {
+    if (t.remaining <= kWorkEpsilon) {
+      done_.push_back(std::move(callbacks_[t.slot]));
+      free_slots_.push_back(t.slot);
+      total_weight_ -= t.weight;
     } else {
-      ++it;
+      *kept++ = t;
     }
   }
+  tasks_.erase(kept, tasks_.end());
   if (total_weight_ < 0.0) total_weight_ = 0.0;
-  if (observer_ && !done.empty()) observer_(rt_.now(), total_weight_);
+  if (observer_ && !done_.empty()) observer_(rt_.now(), total_weight_);
   recompute_and_schedule();
-  for (auto& cb : done) {
+  for (Runtime::Task& cb : done_) {
     rt_.post(std::move(cb));
   }
+  done_.clear();
 }
 
 CpuModel::TaskId CpuModel::submit(double work_seconds, double weight,
                                   Runtime::Task on_complete) {
   assert(work_seconds >= 0.0 && weight > 0.0);
   advance();
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(on_complete));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(on_complete);
+  }
   TaskId id = next_id_++;
-  RunningTask t;
-  t.remaining = work_seconds;
-  t.weight = weight;
-  t.on_complete = std::move(on_complete);
-  tasks_.emplace(id, std::move(t));
+  tasks_.push_back(Row{id, work_seconds, weight, 0.0, slot});
   total_weight_ += weight;
   if (observer_) observer_(rt_.now(), total_weight_);
   recompute_and_schedule();
@@ -112,11 +121,15 @@ CpuModel::TaskId CpuModel::submit(double work_seconds, double weight,
 }
 
 bool CpuModel::cancel(TaskId id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return false;
+  auto it = std::lower_bound(
+      tasks_.begin(), tasks_.end(), id,
+      [](const Row& r, TaskId key) { return r.id < key; });
+  if (it == tasks_.end() || it->id != id) return false;
   advance();
-  total_weight_ -= it->second.weight;
+  total_weight_ -= it->weight;
   if (total_weight_ < 0.0) total_weight_ = 0.0;
+  callbacks_[it->slot].reset();
+  free_slots_.push_back(it->slot);
   tasks_.erase(it);
   if (observer_) observer_(rt_.now(), total_weight_);
   recompute_and_schedule();

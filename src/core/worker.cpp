@@ -156,6 +156,10 @@ Duration Worker::span(Pending& p, const char* name, const LatencyModel& model,
   Duration d = model.sample(rng_);
   d = Duration{static_cast<std::int64_t>(
       static_cast<double>(d.count()) * cp_scale())};
+  // Untraced runs skip the clock read and name hashing for a record the
+  // tracer would refuse; the draws above still happen, so nothing modeled
+  // depends on tracing.
+  if (!tracer_.enabled()) return d;
   // The first span of the transaction (kInvoke) becomes the root of the
   // invocation's span tree; every later stage hangs off it.
   SpanId id = tracer_.record_tx(p.tx, name, rt_.now() + offset, d, p.root);

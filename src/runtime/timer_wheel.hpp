@@ -170,8 +170,15 @@ class TimerWheel {
 
   /// Consumer: move every staged node into the wheel (or reap ones that
   /// were cancelled while still in the shard). Returns nodes drained.
+  ///
+  /// Returns at once, without touching a shard mutex, when the push and
+  /// drain counters agree. A push whose counter bump this check misses is
+  /// not lost: it stays in its shard for the next drain, and the loop's
+  /// pre-sleep `has_staged()` (the same counters, same Dekker pairing)
+  /// sees it or its producer sees the sleeping flag and wakes the loop.
   std::size_t drain_staged() {
     ILU_ASSERT_OWNER(owner_, "TimerWheel::drain_staged");
+    if (!has_staged()) return 0;
     std::size_t total = 0;
     for (SubmitShard& s : shards_) {
       drain_scratch_.clear();

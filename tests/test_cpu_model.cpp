@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "runtime/sim_runtime.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace ilu {
@@ -177,6 +183,76 @@ TEST(CpuModel, ManyTasksStressConsistency) {
   EXPECT_EQ(completed, 500);
   EXPECT_EQ(cpu.running(), 0u);
   EXPECT_DOUBLE_EQ(cpu.demand(), 0.0);
+}
+
+TEST(CpuModel, SameInstantCompletionsFireInSubmissionOrderAfterSlotReuse) {
+  SimRuntime rt;
+  CpuModel cpu(rt, 8.0);
+  std::vector<char> order;
+  cpu.submit(1.0, 1.0, [&] { order.push_back('a'); });
+  auto b = cpu.submit(1.0, 1.0, [&] { order.push_back('b'); });
+  cpu.submit(1.0, 1.0, [&] { order.push_back('c'); });
+  cpu.submit(1.0, 1.0, [&] { order.push_back('d'); });
+  rt.schedule(msecs(500), [&] {
+    // Cancel the middle task, then submit one that finishes at the same
+    // instant as the rest: it takes the cancelled task's callback slot
+    // but must still fire last, because it was submitted last.
+    EXPECT_TRUE(cpu.cancel(b));
+    cpu.submit(0.5, 1.0, [&] { order.push_back('e'); });
+  });
+  rt.run();
+  EXPECT_EQ(std::string(order.begin(), order.end()), "acde");
+  EXPECT_EQ(rt.now(), secs(1));
+}
+
+// Pins every completion instant and load-average sample of a seeded
+// submit/cancel churn that passes through overcommitted and idle phases
+// with mixed weights. The checksum was captured from the std::map-based
+// model; any change to the per-task arithmetic, the completion order or the
+// event timing moves it.
+TEST(CpuModel, SeededChurnChecksumIsPinned) {
+  SimRuntime rt;
+  CpuModel cpu(rt, 4.0, 2.0);
+  Rng rng(20231019);
+  std::uint64_t h = kFnv1a64Basis;
+  auto mix = [&h](std::uint64_t v) { h = fnv1a64_bytes(&v, sizeof v, h); };
+  constexpr double kWeights[] = {0.5, 1.0, 1.5, 2.0, 3.0};
+  int completed = 0, cancelled = 0;
+  // Phase A: 2000 arrivals in 5 s, ~2.5x overcommitted. Phase B: 1500
+  // arrivals over 15 s, mostly under capacity.
+  for (int i = 0; i < 3500; ++i) {
+    const double at = i < 2000 ? rng.uniform(0.0, 5.0)
+                               : rng.uniform(5.0, 20.0);
+    const double work = rng.uniform(0.001, 0.05);
+    const double weight = kWeights[rng.uniform_index(5)];
+    const bool cancel = rng.bernoulli(0.25);
+    const double cancel_after = rng.uniform(0.0, 0.1);
+    rt.schedule(secs(at), [&, i, work, weight, cancel, cancel_after] {
+      auto id = cpu.submit(work, weight, [&, i] {
+        ++completed;
+        mix(static_cast<std::uint64_t>(i));
+        mix(static_cast<std::uint64_t>(rt.now().count()));
+      });
+      if (!cancel) return;
+      rt.schedule(secs(cancel_after), [&, id] {
+        if (cpu.cancel(id)) ++cancelled;
+        mix(id);
+      });
+    });
+  }
+  for (int k = 1; k <= 100; ++k) {
+    rt.schedule(msecs(250 * k), [&] {
+      mix(std::bit_cast<std::uint64_t>(cpu.load_average()));
+      mix(std::bit_cast<std::uint64_t>(cpu.demand()));
+      mix(cpu.running());
+    });
+  }
+  rt.run();
+  EXPECT_EQ(completed + cancelled, 3500);
+  EXPECT_EQ(cpu.running(), 0u);
+  EXPECT_EQ(h, 0x5afd57c3f359212dULL)
+      << std::hex << h << std::dec << " completed " << completed
+      << " cancelled " << cancelled;
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Counting-allocator proof of the slab pool's zero-steady-state-allocation
-// guarantee (DESIGN.md §11): after warm-up, the acquire/return hot path and
-// the add/evict churn path must not touch the heap at all. Global
-// operator new/delete are replaced in this binary only, so the test lives in
-// its own executable rather than the shared suite.
+// Counting-allocator proof of the zero-steady-state-allocation guarantees
+// of the slab pool (DESIGN.md §11) and the CpuModel task table (§4): after
+// warm-up, the pool's acquire/return hot path and add/evict churn path, and
+// CpuModel's submit/complete churn, must not touch the heap at all. Global
+// operator new/delete are replaced in this binary only, so the tests live in
+// their own executable rather than the shared suite.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,11 @@
 #include <cstdlib>
 #include <new>
 
+#include "containers/cpu_model.hpp"
 #include "keepalive/pool.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "trace/function_profile.hpp"
+#include "util/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_new_calls{0};
@@ -117,6 +120,50 @@ TEST(PoolZeroAlloc, SteadyStateAddEvictChurnDoesNotAllocate) {
   EXPECT_TRUE(all_valid);
   EXPECT_EQ(after - before, 0u)
       << "add/evict churn path allocated " << (after - before) << " times";
+}
+
+// Holds `kRunning` tasks on the model: every completion submits a
+// replacement with fresh random work and weight, so each event is one
+// completion plus one submit against a full table.
+class CpuChurn {
+ public:
+  static constexpr int kRunning = 128;
+
+  explicit CpuChurn(SimRuntime& rt) : cpu_(rt, 32.0), rng_(99) {
+    for (int i = 0; i < kRunning; ++i) spawn();
+  }
+  std::uint64_t completed() const { return completed_; }
+  std::size_t running() const { return cpu_.running(); }
+
+ private:
+  void spawn() {
+    cpu_.submit(rng_.uniform(0.001, 0.01), rng_.uniform(0.25, 1.0), [this] {
+      ++completed_;
+      spawn();
+    });
+  }
+
+  CpuModel cpu_;
+  Rng rng_;
+  std::uint64_t completed_ = 0;
+};
+
+TEST(CpuModelZeroAlloc, SteadySubmitCompleteChurnDoesNotAllocate) {
+  SimRuntime rt;
+  CpuChurn churn(rt);
+  // Warm-up: let the task table, callback slab, done buffer and the
+  // runtime's event heap reach their steady-state capacities.
+  rt.run_until(secs(1));
+  const std::uint64_t warm = churn.completed();
+  ASSERT_GT(warm, 1000u);
+
+  std::uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  rt.run_until(secs(3));
+  std::uint64_t after = g_new_calls.load(std::memory_order_relaxed);
+  EXPECT_GT(churn.completed() - warm, 10000u);
+  EXPECT_EQ(churn.running(), static_cast<std::size_t>(CpuChurn::kRunning));
+  EXPECT_EQ(after - before, 0u)
+      << "submit/complete churn allocated " << (after - before) << " times";
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace ilu {
 namespace {
@@ -220,6 +223,30 @@ TEST(RealRuntime, ShutdownWhileProducersSchedule) {
     for (auto& t : producers) t.join();
   }
   SUCCEED();
+}
+
+// Lost-wakeup stress for the staged-drain fast path and the Dekker sleep
+// handshake: a producer stages one task at a time into an idle loop (no
+// timers pending, so a swallowed submission would sleep forever) after a
+// random 0-200 us gap, catching the loop anywhere between its last drain
+// and its wait. Every task must run within a generous bound of its post.
+TEST(RealRuntime, StagedSubmissionIntoIdleLoopIsNeverLost) {
+  constexpr int kRounds = 3000;
+  constexpr auto kBound = std::chrono::seconds(2);
+  std::atomic<int> ran{0};
+  RealRuntime rt;
+  Rng rng(14);
+  for (int i = 0; i < kRounds; ++i) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(rng.uniform_index(201)));
+    const auto posted = std::chrono::steady_clock::now();
+    rt.post([&ran] { ran.fetch_add(1, std::memory_order_release); });
+    while (ran.load(std::memory_order_acquire) != i + 1) {
+      ASSERT_LT(std::chrono::steady_clock::now() - posted, kBound)
+          << "task " << i << " staged into an idle loop never ran";
+      std::this_thread::yield();
+    }
+  }
 }
 
 }  // namespace
