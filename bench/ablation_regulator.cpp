@@ -34,7 +34,7 @@ Out run(RegulatorConfig reg) {
     t.functions = {w.profile(fn)};
     t.duration = mins(3);
     for (Duration at{}; at < t.duration; at += secs(4)) {
-      for (int i = 0; i < 48; ++i) t.events.push_back({at, 0});
+      for (int i = 0; i < 48; ++i) t.keys.push_back(Trace::pack(at, 0));
     }
     return t;
   }();

@@ -12,8 +12,8 @@
 // {1, N}, oversubscribed or not. On a 1-core host the sharded runs can't
 // be faster — equivalence is still asserted. `--arena FILE` replays an
 // ilu-arena-v1 on-disk arena (tools/trace_gen) through the sharded cluster
-// instead of the built-in synthetic workload — the mmap'd key column feeds
-// the same EventView hot loop the in-RAM storage does.
+// instead of the built-in synthetic workload — the mmap'd key column is the
+// same packed keys an in-RAM Trace holds, replayed by the same EventView loop.
 
 #include <algorithm>
 #include <chrono>
@@ -94,10 +94,10 @@ Out run(std::size_t workers, LbPolicy lb, double bound_factor) {
 
 /// The sharded scenario: 32 workers under CH-BL, dense synthetic traffic
 /// (~1000 req/s — ~30 req/s per worker, paper-plausible for 8-core
-/// workers) replayed from a SoA arena. The density matters: conservative
+/// workers) replayed from packed keys. The density matters: conservative
 /// windows only pay off when each shard executes many events per window,
 /// so the barrier cost amortizes.
-TraceArena sharded_workload() {
+Trace sharded_workload() {
   std::vector<SyntheticFunctionSpec> specs;
   Rng rng(23);
   auto bench_fns = function_bench();
@@ -109,13 +109,13 @@ TraceArena sharded_workload() {
                      .mean_iat = secs(rng.uniform(0.06, 0.3)),
                      .exponential = true});
   }
-  return make_synthetic_arena(specs, mins(2), 31);
+  return make_synthetic_trace(specs, mins(2), 31);
 }
 
 /// A shorter cut of the same traffic shape for the placement matrix, which
 /// exists to prove byte-identical results under every placement x shard
 /// count combination; a short trace proves that just as well.
-TraceArena matrix_workload() {
+Trace matrix_workload() {
   std::vector<SyntheticFunctionSpec> specs;
   Rng rng(23);
   auto bench_fns = function_bench();
@@ -127,7 +127,7 @@ TraceArena matrix_workload() {
                      .mean_iat = secs(rng.uniform(0.06, 0.3)),
                      .exponential = true});
   }
-  return make_synthetic_arena(specs, secs(4), 31);
+  return make_synthetic_trace(specs, secs(4), 31);
 }
 
 struct ShardedOut {
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
   scsv.row("trace", "shards", "placement", "wall_s", "speedup", "windows",
            "messages", "completed", "equivalent");
 
-  TraceArena synth;
+  Trace synth;
   std::unique_ptr<ArenaFile> file;
   EventView view;
   const std::vector<FunctionProfile>* functions = nullptr;
@@ -318,8 +318,8 @@ int main(int argc, char** argv) {
   banner("Placement matrix — byte-identical reports");
   std::printf("%8s %-11s %10s %8s %9s %9s %6s\n", "shards", "placement",
               "wall s", "speedup", "windows", "completed", "equal");
-  TraceArena matrix = matrix_workload();
-  EventView mview(matrix);
+  const Trace matrix = matrix_workload();
+  const EventView mview(matrix);
   auto mbase = run_sharded(1, Placement::kRoundRobin, mview, matrix.functions);
   print_row("matrix", 1, "-", mbase, mbase.wall_s, true);
   for (Placement place : placements) {

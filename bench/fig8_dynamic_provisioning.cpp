@@ -35,16 +35,17 @@ int main() {
     double sum = 0.0;
     std::size_t n = 0;
     TimePoint next_sample = mins(2);
-    for (const auto& e : trace.events) {
-      while (next_sample <= e.at) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const TimePoint at = trace.at(i);
+      while (next_sample <= at) {
         if (next_sample >= secs(7200)) {
           sum += meter.rate_per_sec(next_sample);
           ++n;
         }
         next_sample += mins(2);
       }
-      auto out = cache.on_invocation(e.fn, e.at);
-      if (!out.warm) meter.record(e.at);
+      auto out = cache.on_invocation(trace.fn(i), at);
+      if (!out.warm) meter.record(at);
     }
     target = n ? sum / static_cast<double>(n) : 1.0;
   }

@@ -150,8 +150,8 @@ StageResult run_stage(double per_min, Duration duration,
     }
   }
 
-  TraceArena arena = make_synthetic_arena(specs, duration, /*seed=*/17);
-  EventView view(arena);
+  const Trace trace = make_synthetic_trace(specs, duration, /*seed=*/17);
+  const EventView view(trace);
 
   TelemetrySampler sampler(rt, msecs(500));
   sampler.add_registry("w:", &w.metrics());

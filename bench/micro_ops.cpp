@@ -305,7 +305,7 @@ void BM_AzureTraceGeneration(benchmark::State& state) {
   for (auto _ : state) {
     AzureTraceModel model(cfg);
     auto t = model.sample_random(50, 20.0);
-    benchmark::DoNotOptimize(t.events.size());
+    benchmark::DoNotOptimize(t.size());
   }
 }
 BENCHMARK(BM_AzureTraceGeneration);

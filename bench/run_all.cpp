@@ -16,7 +16,7 @@
 // schedule_run_events_per_sec, schedule_cancel_ops_per_sec,
 // queue_push_pop_ops_per_sec, pool_acquire_return_ops_per_sec},
 // pool_churn:{slab_ops_per_sec, pointer_ops_per_sec, speedup},
-// trace_gen:{functions, events, aos_events_per_sec, arena_events_per_sec},
+// trace_gen:{functions, events, arena_events_per_sec},
 // trace_replay:{functions, events, chunks, gen_events_per_sec,
 // replay_events_per_sec, equivalent}, cluster_scaling:{shards, completed,
 // wall_s_serial, wall_s_sharded, speedup, equivalent,
@@ -349,13 +349,11 @@ SweepTiming fig4_sweep_timing(unsigned threads, bool smoke) {
 struct TraceGenTiming {
   std::size_t functions = 0;
   std::size_t events = 0;
-  double aos_events_per_sec = 0.0;    // make_synthetic_trace (AoS + sort)
-  double arena_events_per_sec = 0.0;  // make_synthetic_arena (SoA keys)
+  double events_per_sec = 0.0;  // make_synthetic_trace: emit, pack, sort
 };
 
 /// Satellite bench: generator throughput on a wide function grid (20k
-/// functions full, 2k smoke). The SoA arena path sorts packed u64 keys
-/// instead of 24-byte TraceEvent structs; both must yield identical events.
+/// functions full, 2k smoke).
 TraceGenTiming trace_gen_timing(bool smoke) {
   TraceGenTiming out;
   out.functions = smoke ? 2000 : 20000;
@@ -372,15 +370,11 @@ TraceGenTiming trace_gen_timing(bool smoke) {
   }
   const Duration dur = mins(2);
 
-  out.events = make_synthetic_arena(specs, dur, 13).size();
-  const int reps = smoke ? 2 : 3;
-  out.aos_events_per_sec = best_ops_per_sec(out.events, reps, [&] {
-    auto t = make_synthetic_trace(specs, dur, 13);
-    if (t.events.size() != out.events) std::exit(1);
-  });
-  out.arena_events_per_sec = best_ops_per_sec(out.events, reps, [&] {
-    auto a = make_synthetic_arena(specs, dur, 13);
-    if (a.size() != out.events) std::exit(1);
+  out.events = make_synthetic_trace(specs, dur, 13).size();
+  out.events_per_sec = best_ops_per_sec(out.events, smoke ? 2 : 3, [&] {
+    if (make_synthetic_trace(specs, dur, 13).size() != out.events) {
+      std::exit(1);
+    }
   });
   return out;
 }
@@ -396,7 +390,7 @@ struct TraceReplayTiming {
 
 /// Tentpole record: Azure-model trace generated to an on-disk ilu-arena-v1
 /// file in bounded-memory chunks, then replayed from the mmap through
-/// OpenLoopDriver against a deterministic latency engine. The in-RAM arena
+/// OpenLoopDriver against a deterministic latency engine. The in-RAM trace
 /// replay of the same seed must produce a byte-identical ExperimentReport
 /// (bench/trace_replay_scale.cpp runs the same check at any scale).
 TraceReplayTiming trace_replay_timing(bool smoke) {
@@ -473,8 +467,8 @@ TraceReplayTiming trace_replay_timing(bool smoke) {
   out.replay_events_per_sec =
       replay_s > 0.0 ? static_cast<double>(mmap_n) / replay_s : 0.0;
 
-  TraceArena ram = model.build_arena(indices, rate_scale);
-  auto [ram_fp, ram_n] = replay(EventView(ram), ram.functions, nullptr);
+  const Trace ram = model.build_trace(indices, rate_scale);
+  auto [ram_fp, ram_n] = replay(ram, ram.functions, nullptr);
   out.equivalent = mmap_fp == ram_fp && mmap_n == ram_n;
   std::remove(path.c_str());
   if (!out.equivalent) {
@@ -515,7 +509,7 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
                      .mean_iat = secs(rng.uniform(0.1, 0.5)),
                      .exponential = true});
   }
-  auto arena = make_synthetic_arena(specs, smoke ? secs(10) : secs(45), 31);
+  auto trace = make_synthetic_trace(specs, smoke ? secs(10) : secs(45), 31);
 
   auto run_once = [&](std::size_t nshards, double* wall_s,
                       ClusterShardTiming* stats) {
@@ -528,7 +522,7 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
                                     LatencyModel::lognormal(usecs(100), 0.4));
     ShardedRuntime srt(nshards, cfg.rpc.lower_bound());
     Cluster cluster(srt, cfg);
-    for (const auto& f : arena.functions) cluster.register_function(f);
+    for (const auto& f : trace.functions) cluster.register_function(f);
     cluster.start();
     OpenLoopDriver d(srt.shard(0),
                      [&](FunctionId fn,
@@ -536,7 +530,7 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
                        cluster.invoke(fn, std::move(cb));
                      });
     auto t0 = Clock::now();
-    d.start(arena);
+    d.start(trace);
     while (!d.done()) srt.run_for(secs(20));
     *wall_s = seconds_since(t0);
     cluster.shutdown();
@@ -554,7 +548,7 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
                                     static_cast<double>(d.results().size());
     }
     std::vector<std::string> names;
-    for (const auto& f : arena.functions) names.push_back(f.name);
+    for (const auto& f : trace.functions) names.push_back(f.name);
     ExperimentReport rep(std::move(names));
     rep.add_all(d.results());
     return std::pair{rep.to_json().dump(), d.results().size()};
@@ -808,8 +802,8 @@ ServeRun serve_stage(bool smoke) {
     while (warmed.load(std::memory_order_acquire) < fns.size() * prewarms) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    TraceArena arena = make_synthetic_arena(specs, duration, 17);
-    EventView view(arena);
+    const Trace trace = make_synthetic_trace(specs, duration, 17);
+    const EventView view(trace);
     LiveLoadHarness harness(
         rt, [&w](FunctionId f, LiveLoadHarness::CompletionCb cb) {
           w.invoke(f, std::move(cb));
@@ -951,10 +945,8 @@ int main(int argc, char** argv) {
   auto tg = trace_gen_timing(smoke);
   std::printf("%-36s %12zu fns, %zu events\n", "trace gen grid", tg.functions,
               tg.events);
-  std::printf("%-36s %12.0f /s\n", "trace gen (AoS stable_sort)",
-              tg.aos_events_per_sec);
-  std::printf("%-36s %12.0f /s\n", "trace gen (SoA arena keys)",
-              tg.arena_events_per_sec);
+  std::printf("%-36s %12.0f /s\n", "trace gen (packed keys)",
+              tg.events_per_sec);
 
   auto tr = trace_replay_timing(smoke);
   std::printf("%-36s %12zu fns, %llu events, %zu chunk(s)\n",
@@ -1063,8 +1055,9 @@ int main(int argc, char** argv) {
   JsonObject trace_gen;
   trace_gen["functions"] = static_cast<std::uint64_t>(tg.functions);
   trace_gen["events"] = static_cast<std::uint64_t>(tg.events);
-  trace_gen["aos_events_per_sec"] = tg.aos_events_per_sec;
-  trace_gen["arena_events_per_sec"] = tg.arena_events_per_sec;
+  // The key name predates the single trace type; record fields are never
+  // renamed.
+  trace_gen["arena_events_per_sec"] = tg.events_per_sec;
   run["trace_gen"] = trace_gen;
   JsonObject trace_replay;
   trace_replay["functions"] = static_cast<std::uint64_t>(tr.functions);

@@ -15,7 +15,7 @@
 // is O(functions + page window), not O(events).
 //
 // --crosscheck (implied by --smoke) replays the same workload from the
-// in-RAM arena the model builds directly and requires the two
+// in-RAM trace the model builds directly and requires the two
 // ExperimentReports to serialize byte-identically — the mmap'd streaming
 // path must be a pure optimization. ctest wires `--smoke` in as the
 // trace_replay_smoke perf test.
@@ -283,13 +283,16 @@ int main(int argc, char** argv) try {
 
   bool equivalent = true;
   if (crosscheck) {
-    // In-RAM reference: the arena the model builds directly (when we
-    // generated inline — covering generator + format + replay), else the
-    // file's own materialization.
-    TraceArena ram = generated && model != nullptr
-                         ? model->build_arena(indices, rate_scale)
-                         : arena.to_arena();
-    auto ram_run = replay(EventView(ram), ram.functions, ram.duration,
+    // In-RAM reference: the trace the model builds directly (when we
+    // generated inline — covering generator + format + replay), else a
+    // copy of the file's keys.
+    const Trace ram =
+        generated && model != nullptr
+            ? model->build_trace(indices, rate_scale)
+            : Trace{arena.functions(),
+                    {arena.keys(), arena.keys() + arena.size()},
+                    arena.duration()};
+    auto ram_run = replay(ram, ram.functions, ram.duration,
                           /*want_report=*/true, nullptr);
     equivalent = ram_run.report_json == mmap_run.report_json &&
                  ram_run.events == mmap_run.events;

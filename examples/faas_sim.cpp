@@ -5,14 +5,15 @@
 //
 //   ./faas_sim                                # built-in demo config
 //   ./faas_sim --config worker.json
-//   ./faas_sim --config worker.json --trace mytrace   # from trace CSV pair
+//   ./faas_sim --config worker.json --trace day.arena  # ilu-arena-v1 file
 //   ./faas_sim --print-config                 # dump the effective config
 //
-// A trace prefix refers to files written by save_trace():
-//   <prefix>_functions.csv / <prefix>_events.csv
+// A trace file is an ilu-arena-v1 arena (tools/trace_gen); it replays
+// straight from the mmap'd key column.
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "core/config.hpp"
@@ -35,21 +36,21 @@ Trace demo_trace() {
 
 int main(int argc, char** argv) {
   std::string config_path;
-  std::string trace_prefix;
+  std::string trace_path;
   std::string report_csv;
   bool print_config = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--config") == 0 && i + 1 < argc) {
       config_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_prefix = argv[++i];
+      trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
       report_csv = argv[++i];
     } else if (std::strcmp(argv[i], "--print-config") == 0) {
       print_config = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--config cfg.json] [--trace prefix] "
+                   "usage: %s [--config cfg.json] [--trace file.arena] "
                    "[--report out.csv] [--print-config]\n",
                    argv[0]);
       return 2;
@@ -70,18 +71,23 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  Trace trace;
-  if (!trace_prefix.empty()) {
+  Trace demo;
+  std::optional<ArenaFile> file;
+  if (!trace_path.empty()) {
     try {
-      trace = load_trace(trace_prefix);
+      file.emplace(trace_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "trace error: %s\n", e.what());
       return 1;
     }
   } else {
-    trace = demo_trace();
+    demo = demo_trace();
   }
-  auto ts = trace.stats();
+  const std::vector<FunctionProfile>& functions =
+      file ? file->functions() : demo.functions;
+  const EventView events = file ? file->view() : EventView(demo);
+  auto ts = trace_stats(functions, events,
+                        file ? file->duration() : demo.duration);
   std::printf("workload: %zu functions, %zu invocations, %.1f req/s, "
               "expected concurrency %.1f\n",
               ts.num_functions, ts.num_invocations, ts.reqs_per_sec,
@@ -103,14 +109,14 @@ int main(int argc, char** argv) {
   w.cpu().set_demand_observer([&](TimePoint t, double demand) {
     energy.on_demand_change(t, demand);
   });
-  for (const auto& f : trace.functions) w.register_function(f);
+  for (const auto& f : functions) w.register_function(f);
   w.start();
 
   OpenLoopDriver driver(rt, [&](FunctionId fn,
                                 std::function<void(const InvokeResult&)> cb) {
     w.invoke(fn, std::move(cb));
   });
-  driver.start(trace);
+  driver.start(events);
   while (!driver.done()) rt.run_for(secs(30));
   w.shutdown();
 
@@ -160,19 +166,19 @@ int main(int argc, char** argv) {
   // FaasMeter-style post-hoc attribution: the active (above-idle) energy is
   // split across functions in proportion to their CPU-seconds.
   {
-    std::vector<double> cpu_s(trace.functions.size(), 0.0);
+    std::vector<double> cpu_s(functions.size(), 0.0);
     double total_cpu_s = 0.0;
     for (const auto& r : driver.results()) {
       if (!r.success) continue;
       cpu_s[r.fn] += to_sec(r.exec_time);
       total_cpu_s += to_sec(r.exec_time);
     }
-    if (total_cpu_s > 0.0 && trace.functions.size() <= 16) {
+    if (total_cpu_s > 0.0 && functions.size() <= 16) {
       std::printf("  active energy attribution:\n");
-      for (std::size_t f = 0; f < trace.functions.size(); ++f) {
+      for (std::size_t f = 0; f < functions.size(); ++f) {
         double share = cpu_s[f] / total_cpu_s;
         std::printf("    %-24s %6.1f%%  (%.1f kJ)\n",
-                    trace.functions[f].name.c_str(), 100.0 * share,
+                    functions[f].name.c_str(), 100.0 * share,
                     share * energy.active_joules(rt.now()) / 1000.0);
       }
     }
@@ -180,10 +186,10 @@ int main(int argc, char** argv) {
 
   // Per-function breakdown via the metrics layer.
   std::vector<std::string> names;
-  for (const auto& f : trace.functions) names.push_back(f.name);
+  for (const auto& f : functions) names.push_back(f.name);
   ExperimentReport report(std::move(names));
   report.add_all(driver.results());
-  if (trace.functions.size() <= 16) {
+  if (functions.size() <= 16) {
     std::printf("\n%s", report.format().c_str());
   }
   if (!report_csv.empty()) {

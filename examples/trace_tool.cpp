@@ -1,17 +1,16 @@
-// Trace generation/inspection CLI for the Azure-model workloads.
+// Trace inspection and replay CLI for ilu-arena-v1 trace files (written by
+// tools/trace_gen).
 //
-//   ./trace_tool gen        <prefix> [rep|rare|random] [n] [target_rps] [hours]
-//   ./trace_tool info       <prefix | arena-file>
-//   ./trace_tool replay     <prefix> [--trace-out <file>] [--flight-out <file>]
+//   ./trace_tool info       <arena-file>
+//   ./trace_tool replay     <arena-file> [--trace-out <file>]
+//                                        [--flight-out <file>]
 //   ./trace_tool tab1       <dump.json>
 //   ./trace_tool flightdump <dump.bin> [--out <chrome.json>]
 //
-// `gen` writes <prefix>_functions.csv and <prefix>_events.csv (replayable
-// by faas_sim and the library's load_trace()); `info` prints statistics of
-// a saved trace (auto-detecting ilu-arena-v1 binary arenas, which it also
-// integrity-checks); `replay` runs the trace through a simulated worker and can
-// dump the transaction-scoped span trees as a Chrome trace and the flight
-// recorder's binary event rings; `tab1` recomputes the Table 1
+// `info` prints statistics of an arena and integrity-checks it; `replay`
+// runs it, straight from the mmap'd key column, through a simulated worker
+// and can dump the transaction-scoped span trees as a Chrome trace and the
+// flight recorder's binary event rings; `tab1` recomputes the Table 1
 // per-component latency view from such a dump; `flightdump` decodes a
 // binary flight dump (from `replay --flight-out` or a crash) into a
 // per-ring summary and optionally Chrome trace-event JSON.
@@ -29,103 +28,41 @@ using namespace ilu;
 
 namespace {
 
-int cmd_gen(int argc, char** argv) {
-  std::string prefix = argv[2];
-  std::string kind = argc > 3 ? argv[3] : "rep";
-  std::size_t n = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 200;
-  double rps = argc > 5 ? std::strtod(argv[5], nullptr) : 0.0;
-  double hours = argc > 6 ? std::strtod(argv[6], nullptr) : 2.0;
-
-  AzureModelConfig cfg;
-  cfg.population = 50000;
-  cfg.days = hours / 24.0;
-  AzureTraceModel model(cfg);
-
-  Trace t;
-  if (kind == "rep") {
-    t = model.sample_representative(n, rps);
-  } else if (kind == "rare") {
-    t = model.sample_rare(n, rps);
-  } else if (kind == "random") {
-    t = model.sample_random(n, rps);
-  } else {
-    std::fprintf(stderr, "unknown sample kind: %s (rep|rare|random)\n",
-                 kind.c_str());
-    return 2;
-  }
-  save_trace(t, prefix);
-  auto s = t.stats();
-  std::printf("wrote %s_{functions,events}.csv: %zu functions, %zu "
-              "invocations, %.1f req/s over %.1f h\n",
-              prefix.c_str(), s.num_functions, s.num_invocations,
-              s.reqs_per_sec, to_sec(t.duration) / 3600.0);
-  return 0;
-}
-
-/// True when `path` is an ilu-arena-v1 file (checks the magic only; a
-/// corrupt file with a valid magic still fails loudly in ArenaFile's
-/// strict open).
-bool is_arena_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char bytes[8];
-  if (!in.read(bytes, sizeof bytes)) return false;
-  std::uint64_t magic = 0;
-  for (int i = 0; i < 8; ++i) {
-    magic |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
-  }
-  return magic == kArenaMagic;
-}
-
-int cmd_info_arena(const std::string& path) {
-  ArenaFile f(path);
-  std::printf("arena %s (ilu-arena-v1)\n", path.c_str());
-  std::printf("  functions:       %zu\n", f.functions().size());
-  std::printf("  events:          %zu\n", f.size());
+int cmd_info(char** argv) {
+  ArenaFile f(argv[2]);
+  const EventView events = f.view();
+  auto s = trace_stats(f.functions(), events, f.duration());
+  std::printf("trace %s (ilu-arena-v1)\n", argv[2]);
+  std::printf("  functions:       %zu\n", s.num_functions);
+  std::printf("  invocations:     %zu\n", s.num_invocations);
   std::printf("  duration:        %.2f h\n", to_sec(f.duration()) / 3600.0);
-  if (to_sec(f.duration()) > 0.0) {
-    std::printf("  request rate:    %.2f /s\n",
-                static_cast<double>(f.size()) / to_sec(f.duration()));
-  }
+  std::printf("  request rate:    %.2f /s\n", s.reqs_per_sec);
+  std::printf("  avg IAT:         %.2f ms\n", to_ms(s.avg_iat));
+  std::printf("  Little's-law expected concurrency: %.2f\n",
+              s.expected_concurrency);
   std::printf("  file size:       %.1f MB (keys mmap'd)\n",
               static_cast<double>(f.file_bytes()) / 1e6);
+  // Top-5 functions by invocation count.
+  std::vector<std::size_t> counts(f.functions().size(), 0);
+  for (std::size_t i = 0; i < events.size(); ++i) ++counts[events.fn(i)];
+  std::vector<std::size_t> idx(counts.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::sort(idx.begin(), idx.end(),
+            [&](std::size_t a, std::size_t b) { return counts[a] > counts[b]; });
+  std::printf("  top functions:\n");
+  for (std::size_t i = 0; i < std::min<std::size_t>(5, idx.size()); ++i) {
+    const auto& p = f.functions()[idx[i]];
+    std::printf("    %-24s %8zu invocations, %u MB, warm %.0f ms, init %.0f ms\n",
+                p.name.c_str(), counts[idx[i]], p.mem_mb, to_ms(p.warm_time),
+                to_ms(p.init_time));
+  }
   f.verify();
   std::printf("  integrity:       OK (keys sorted, fns bounded, checksums "
               "match)\n");
   return 0;
 }
 
-int cmd_info(char** argv) {
-  if (is_arena_file(argv[2])) return cmd_info_arena(argv[2]);
-  Trace t = load_trace(argv[2]);
-  auto s = t.stats();
-  std::printf("trace %s\n", argv[2]);
-  std::printf("  functions:       %zu\n", s.num_functions);
-  std::printf("  invocations:     %zu\n", s.num_invocations);
-  std::printf("  duration:        %.2f h\n", to_sec(t.duration) / 3600.0);
-  std::printf("  request rate:    %.2f /s\n", s.reqs_per_sec);
-  std::printf("  avg IAT:         %.2f ms\n", to_ms(s.avg_iat));
-  std::printf("  Little's-law expected concurrency: %.2f\n",
-              s.expected_concurrency);
-  // Top-5 functions by invocation count.
-  std::vector<std::size_t> counts(t.functions.size(), 0);
-  for (const auto& e : t.events) ++counts[e.fn];
-  std::vector<std::size_t> idx(t.functions.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::sort(idx.begin(), idx.end(),
-            [&](std::size_t a, std::size_t b) { return counts[a] > counts[b]; });
-  std::printf("  top functions:\n");
-  for (std::size_t i = 0; i < std::min<std::size_t>(5, idx.size()); ++i) {
-    const auto& f = t.functions[idx[i]];
-    std::printf("    %-24s %8zu invocations, %u MB, warm %.0f ms, init %.0f ms\n",
-                f.name.c_str(), counts[idx[i]], f.mem_mb, to_ms(f.warm_time),
-                to_ms(f.init_time));
-  }
-  return 0;
-}
-
 int cmd_replay(int argc, char** argv) {
-  std::string prefix = argv[2];
   std::string trace_out;
   std::string flight_out;
   for (int i = 3; i < argc; ++i) {
@@ -150,16 +87,16 @@ int cmd_replay(int argc, char** argv) {
   // covers exactly this replay.
   flight::Recorder::instance().clear();
 
-  Trace t = load_trace(prefix);
+  ArenaFile f(argv[2]);
   SimRuntime rt;
   WorkerConfig cfg;
   cfg.cores = 48.0;
   cfg.memory_mb = 32 * 1024;
   Worker w(rt, cfg);
   std::vector<std::string> names;
-  for (const auto& f : t.functions) {
-    w.register_function(f);
-    names.push_back(f.name);
+  for (const auto& p : f.functions()) {
+    w.register_function(p);
+    names.push_back(p.name);
   }
   w.start();
 
@@ -167,8 +104,8 @@ int cmd_replay(int argc, char** argv) {
                                  std::function<void(const InvokeResult&)> cb) {
     w.invoke(fn, std::move(cb));
   });
-  driver.start(t);
-  TimePoint deadline = rt.now() + t.duration + mins(5);
+  driver.start(f.view());
+  TimePoint deadline = rt.now() + f.duration() + mins(5);
   while (!driver.done() && rt.now() < deadline) rt.run_for(secs(5));
   w.shutdown();
 
@@ -311,7 +248,6 @@ int cmd_tab1(char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  if (argc >= 3 && std::strcmp(argv[1], "gen") == 0) return cmd_gen(argc, argv);
   if (argc >= 3 && std::strcmp(argv[1], "info") == 0) return cmd_info(argv);
   if (argc >= 3 && std::strcmp(argv[1], "replay") == 0)
     return cmd_replay(argc, argv);
@@ -319,11 +255,10 @@ int main(int argc, char** argv) try {
   if (argc >= 3 && std::strcmp(argv[1], "flightdump") == 0)
     return cmd_flightdump(argc, argv);
   std::fprintf(stderr,
-               "usage:\n  %s gen <prefix> [rep|rare|random] [n] [target_rps] "
-               "[hours]\n  %s info <prefix>\n  %s replay <prefix> "
+               "usage:\n  %s info <arena-file>\n  %s replay <arena-file> "
                "[--trace-out <file>] [--flight-out <file>]\n  %s tab1 "
                "<dump.json>\n  %s flightdump <dump.bin> [--out <chrome.json>]\n",
-               argv[0], argv[0], argv[0], argv[0], argv[0]);
+               argv[0], argv[0], argv[0], argv[0]);
   return 2;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

@@ -8,7 +8,7 @@
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/real_runtime.hpp"
-#include "trace/event_view.hpp"
+#include "trace/workload.hpp"
 #include "util/time.hpp"
 
 /// Open-loop live-load harness (DESIGN.md §14): replays an EventView against

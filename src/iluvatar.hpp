@@ -8,8 +8,9 @@
 ///              execution engines, the time-parallel ShardedRuntime
 ///              (conservative-window synchronization), + latency models
 ///   trace/     workloads: FunctionBench profiles, the Azure trace model,
-///              load generators, trace I/O, mmap'd on-disk arenas
-///              (ilu-arena-v1) with bounded-memory chunked generation
+///              load generators over one packed-key trace type, mmap'd
+///              on-disk arenas (ilu-arena-v1) with bounded-memory chunked
+///              generation
 ///   containers container records, backends (containerd/docker/crun/null
 ///              latency profiles), netns pool
 ///   keepalive/ caching-based keep-alive: policies (TTL/LRU/FREQ/GD/LND/
@@ -67,10 +68,8 @@
 #include "trace/arena_file.hpp"
 #include "trace/arena_gen.hpp"
 #include "trace/azure.hpp"
-#include "trace/event_view.hpp"
 #include "trace/function_profile.hpp"
 #include "trace/loadgen.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/workload.hpp"
 #include "util/csv.hpp"
 #include "util/hash.hpp"

@@ -9,8 +9,8 @@ constexpr TimePoint kNever = TimePoint{std::numeric_limits<std::int64_t>::max()}
 }
 
 ClairvoyantPolicy::ClairvoyantPolicy(const Trace& trace) {
-  for (const auto& e : trace.events) {
-    future_[e.fn].arrivals.push_back(e.at);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    future_[trace.fn(i)].arrivals.push_back(trace.at(i));
   }
 }
 

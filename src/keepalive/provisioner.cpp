@@ -70,12 +70,13 @@ DynamicProvisioningResult run_dynamic_provisioning(
   KeepAliveCache cache(*policy, cache_cfg, trace.functions);
   Provisioner prov(cache, cfg);
 
-  for (const auto& e : trace.events) {
-    prov.maybe_adjust(e.at);
-    auto out = cache.on_invocation(e.fn, e.at);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TimePoint at = trace.at(i);
+    prov.maybe_adjust(at);
+    auto out = cache.on_invocation(trace.fn(i), at);
     // Drops count as misses too: a request a starved cache turns away must
     // push the controller toward growing, not read as "no cold starts".
-    if (!out.warm) prov.record_miss(e.at);
+    if (!out.warm) prov.record_miss(at);
   }
   if (trace.duration > Duration::zero()) {
     prov.maybe_adjust(trace.duration);

@@ -20,16 +20,14 @@ KeepAliveSimResult run_keepalive_sim_with(const Trace& trace,
   cfg.capacity_mb = capacity_mb;
   cfg.enable_prewarm = enable_prewarm;
   KeepAliveCache cache(policy, cfg, trace.functions);
-  for (const auto& e : trace.events) {
-    cache.on_invocation(e.fn, e.at);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    cache.on_invocation(trace.fn(i), trace.at(i));
   }
+  const TimePoint last =
+      trace.size() ? trace.at(trace.size() - 1) : TimePoint{};
   cache.advance_to(trace.duration > Duration::zero()
-                       ? std::max(trace.duration,
-                                  trace.events.empty()
-                                      ? trace.duration
-                                      : trace.events.back().at)
-                       : (trace.events.empty() ? TimePoint{}
-                                               : trace.events.back().at));
+                       ? std::max(trace.duration, last)
+                       : last);
   KeepAliveSimResult r;
   r.policy = policy.name();
   r.capacity_mb = capacity_mb;

@@ -130,10 +130,10 @@ ArenaFileWriter::~ArenaFileWriter() {
 void ArenaFileWriter::begin(const std::vector<FunctionProfile>& functions,
                             Duration duration) {
   if (begun_) throw std::logic_error("ArenaFileWriter::begin called twice");
-  if (functions.size() > TraceArena::kMaxFn + 1) {
+  if (functions.size() > Trace::kMaxFn + 1) {
     throw std::logic_error("arena file: too many functions for packed keys");
   }
-  if (duration.count() < 0 || duration.count() > TraceArena::kMaxUs) {
+  if (duration.count() < 0 || duration.count() > Trace::kMaxUs) {
     throw std::logic_error("arena file: duration out of packed-key range");
   }
   begun_ = true;
@@ -157,12 +157,12 @@ void ArenaFileWriter::append_keys(const std::uint64_t* keys, std::size_t n) {
       throw std::logic_error("arena file: keys appended out of order");
     }
     last_key_ = keys[i];
-    if (TraceArena::key_fn(keys[i]) >= num_functions_) {
+    if (Trace::key_fn(keys[i]) >= num_functions_) {
       throw std::logic_error("arena file: key references unknown function");
     }
   }
   // Keys are written in host order; the format is little-endian and the
-  // event_view.hpp static_assert pins the build to little-endian hosts.
+  // arena_file.hpp static_assert pins the build to little-endian hosts.
   if (n > 0 && std::fwrite(keys, sizeof(std::uint64_t), n, f_) != n) {
     io_fail(path_, "short write (keys)");
   }
@@ -214,19 +214,10 @@ std::uint64_t ArenaFileWriter::finalize() {
   return keys_offset_ + num_events_ * sizeof(std::uint64_t);
 }
 
-void write_arena_file(const TraceArena& arena, const std::string& path) {
+void write_arena_file(const Trace& trace, const std::string& path) {
   ArenaFileWriter w(path);
-  w.begin(arena.functions, arena.duration);
-  std::vector<std::uint64_t> keys;
-  keys.reserve(1 << 16);
-  for (std::size_t i = 0; i < arena.size(); ++i) {
-    keys.push_back(TraceArena::pack(arena.at(i), arena.fn[i]));
-    if (keys.size() == keys.capacity()) {
-      w.append_keys(keys.data(), keys.size());
-      keys.clear();
-    }
-  }
-  w.append_keys(keys.data(), keys.size());
+  w.begin(trace.functions, trace.duration);
+  w.append_keys(trace.keys.data(), trace.keys.size());
   w.finalize();
 }
 
@@ -278,11 +269,11 @@ ArenaFile::ArenaFile(const std::string& path) : path_(path) {
     std::uint64_t meta_ck = r.u64();
     for (int i = 0; i < 4; ++i) r.u64();  // reserved
 
-    if (num_functions > TraceArena::kMaxFn + 1) {
+    if (num_functions > Trace::kMaxFn + 1) {
       throw std::runtime_error("arena file " + path_ +
                                ": function count exceeds packed-key range");
     }
-    if (duration_us_ < 0 || duration_us_ > TraceArena::kMaxUs) {
+    if (duration_us_ < 0 || duration_us_ > Trace::kMaxUs) {
       throw std::runtime_error("arena file " + path_ +
                                ": duration out of range");
     }
@@ -386,12 +377,12 @@ void ArenaFile::verify() const {
                                std::to_string(i));
     }
     prev = k[i];
-    if (TraceArena::key_fn(k[i]) >= functions_.size()) {
+    if (Trace::key_fn(k[i]) >= functions_.size()) {
       throw std::runtime_error("arena file " + path_ +
                                ": key references unknown function at " +
                                std::to_string(i));
     }
-    if (TraceArena::key_at(k[i]).count() > duration_us_) {
+    if (Trace::key_at(k[i]).count() > duration_us_) {
       throw std::runtime_error("arena file " + path_ +
                                ": event beyond trace duration at " +
                                std::to_string(i));
@@ -414,20 +405,6 @@ void ArenaFile::release_keys_before(std::size_t n) {
   ::madvise(static_cast<std::byte*>(map_) + begin, end - begin,
             MADV_DONTNEED);
   released_bytes_ = end - keys_offset_;
-}
-
-TraceArena ArenaFile::to_arena() const {
-  TraceArena a;
-  a.functions = functions_;
-  a.duration = duration();
-  a.at_us.reserve(num_events_);
-  a.fn.reserve(num_events_);
-  const std::uint64_t* k = keys();
-  for (std::size_t i = 0; i < num_events_; ++i) {
-    a.at_us.push_back(TraceArena::key_at(k[i]).count());
-    a.fn.push_back(TraceArena::key_fn(k[i]));
-  }
-  return a;
 }
 
 }  // namespace ilu

@@ -1,24 +1,23 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "trace/event_view.hpp"
 #include "trace/workload.hpp"
 
 /// On-disk trace arenas: the `ilu-arena-v1` binary format (DESIGN.md §13).
 ///
-/// The in-RAM TraceArena tops out around 20k-function grids; Azure-scale
-/// experiments need day-long traces of a million functions and 10^8
-/// invocations — tens of gigabytes of events that must never be
-/// materialized. This file format stores the function-profile table (small,
+/// Azure-scale experiments need day-long traces of a million functions and
+/// 10^8 invocations — gigabytes of events that must never be materialized.
+/// This file format stores the function-profile table (small,
 /// O(functions)) followed by one flat column of packed
-/// `(at_us << 20) | fn` u64 keys, sorted ascending — exactly the
-/// TraceArena::pack representation, so an mmap of the key column *is* a
-/// replayable EventView with zero decode.
+/// `(at_us << 20) | fn` u64 keys, sorted ascending — exactly the in-RAM
+/// Trace::keys, so an mmap of the key column *is* a replayable EventView
+/// with zero decode.
 ///
 /// Layout (all integers little-endian; keys page-aligned so the column can
 /// be madvised and released independently of the header):
@@ -47,6 +46,9 @@
 /// fn bounds, checksum) is an O(events) scan deferred to verify(), so that
 /// replay itself touches each key page exactly once.
 namespace ilu {
+
+static_assert(std::endian::native == std::endian::little,
+              "ilu-arena-v1 stores keys little-endian and maps them as-is");
 
 inline constexpr std::uint64_t kArenaMagic = 0x00014E5241554C49ull;  // "ILUARN\x01\0"
 inline constexpr std::uint32_t kArenaVersion = 1;
@@ -92,8 +94,8 @@ class ArenaFileWriter {
   bool begun_ = false;
 };
 
-/// Write an in-RAM arena to `path` (packs the columns back into keys).
-void write_arena_file(const TraceArena& arena, const std::string& path);
+/// Write an in-RAM trace to `path`: its keys are the file's key column.
+void write_arena_file(const Trace& trace, const std::string& path);
 
 /// Memory-mapped reader. Opening parses and strictly validates the header
 /// and function table (throws std::runtime_error on any malformation), maps
@@ -123,11 +125,11 @@ class ArenaFile {
     return reinterpret_cast<const std::uint64_t*>(
         static_cast<const std::byte*>(map_) + keys_offset_);
   }
-  TimePoint at(std::size_t i) const { return TraceArena::key_at(keys()[i]); }
-  FunctionId fn(std::size_t i) const { return TraceArena::key_fn(keys()[i]); }
+  TimePoint at(std::size_t i) const { return Trace::key_at(keys()[i]); }
+  FunctionId fn(std::size_t i) const { return Trace::key_fn(keys()[i]); }
 
   /// Replay view over the mmap'd keys — feed straight to OpenLoopDriver.
-  EventView view() const { return EventView::packed(keys(), num_events_); }
+  EventView view() const { return EventView(keys(), num_events_); }
 
   /// Full O(events) integrity scan: keys sorted ascending, every fn within
   /// the function table, timestamps within [0, duration], and the stored
@@ -140,10 +142,6 @@ class ArenaFile {
   /// by streaming replays so peak RSS stays a window, not the file size.
   /// Re-reading released keys is legal (they fault back in from the file).
   void release_keys_before(std::size_t n);
-
-  /// Materialize an in-RAM TraceArena (tests / small files only: O(events)
-  /// memory by definition).
-  TraceArena to_arena() const;
 
  private:
   void close();

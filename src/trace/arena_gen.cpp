@@ -120,7 +120,7 @@ ArenaGenStats generate_arena_file(const AzureTraceModel& model,
     keys.clear();
     model.generate_events(fn_indices, rate_scale, fi_begin, fi_end,
                           [&](TimePoint at, FunctionId fn) {
-                            keys.push_back(TraceArena::pack(at, fn));
+                            keys.push_back(Trace::pack(at, fn));
                           });
     std::sort(keys.begin(), keys.end());
   };

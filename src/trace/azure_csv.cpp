@@ -139,17 +139,14 @@ Trace load_azure_dataset(const std::string& invocations_csv,
           static_cast<double>(m - first_minute_col) * 60.0;
       double spacing_s = 60.0 / static_cast<double>(k);
       for (std::uint64_t j = 0; j < k; ++j) {
-        t.events.push_back(TraceEvent{
+        t.keys.push_back(Trace::pack_checked(
             secs(minute_start_s + spacing_s * static_cast<double>(j)),
-            fn_id});
+            fn_id));
       }
     }
   }
 
-  std::stable_sort(t.events.begin(), t.events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.at < b.at;
-                   });
+  std::sort(t.keys.begin(), t.keys.end());
   return t;
 }
 

@@ -39,7 +39,9 @@ struct AzureCsvOptions {
 };
 
 /// Build a Trace from the three dataset CSVs. Throws std::runtime_error on
-/// unreadable files or malformed headers.
+/// unreadable files or malformed headers, and std::out_of_range when an
+/// event falls outside the packed-key range (more than Trace::kMaxFn + 1
+/// functions, or a minute beyond ~100 days).
 Trace load_azure_dataset(const std::string& invocations_csv,
                          const std::string& durations_csv,
                          const std::string& memory_csv,

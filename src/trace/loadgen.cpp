@@ -88,24 +88,20 @@ void ClosedLoopDriver::client_loop(std::size_t remaining) {
   });
 }
 
-namespace {
-
-/// The synthetic arrival-process generator, independent of event storage:
-/// `emit(at, fn)` receives every event in function-major order. Both the
-/// AoS and the arena paths draw RNG through this one loop, so they produce
-/// the same event multiset by construction.
-template <typename Emit>
-void generate_synthetic(const std::vector<SyntheticFunctionSpec>& specs,
-                        Duration duration, std::uint64_t seed, Emit&& emit) {
+Trace make_synthetic_trace(const std::vector<SyntheticFunctionSpec>& specs,
+                           Duration duration, std::uint64_t seed) {
   assert(duration > Duration::zero());
+  Trace t;
+  t.duration = duration;
   Rng rng(seed);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& spec = specs[i];
     assert(spec.mean_iat > Duration::zero());
+    t.functions.push_back(spec.profile);
     Rng frng = rng.substream(i);
     TimePoint at = spec.phase;
     while (at < duration) {
-      emit(at, static_cast<FunctionId>(i));
+      t.keys.push_back(Trace::pack(at, static_cast<FunctionId>(i)));
       Duration gap =
           spec.exponential
               ? secs(frng.exponential(to_sec(spec.mean_iat)))
@@ -115,36 +111,8 @@ void generate_synthetic(const std::vector<SyntheticFunctionSpec>& specs,
       at += gap;
     }
   }
-}
-
-}  // namespace
-
-Trace make_synthetic_trace(const std::vector<SyntheticFunctionSpec>& specs,
-                           Duration duration, std::uint64_t seed) {
-  Trace t;
-  t.duration = duration;
-  for (const auto& spec : specs) t.functions.push_back(spec.profile);
-  generate_synthetic(specs, duration, seed, [&](TimePoint at, FunctionId fn) {
-    t.events.push_back(TraceEvent{at, fn});
-  });
-  std::stable_sort(t.events.begin(), t.events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.at < b.at;
-                   });
+  std::sort(t.keys.begin(), t.keys.end());
   return t;
-}
-
-TraceArena make_synthetic_arena(const std::vector<SyntheticFunctionSpec>& specs,
-                                Duration duration, std::uint64_t seed) {
-  TraceArena a;
-  a.duration = duration;
-  for (const auto& spec : specs) a.functions.push_back(spec.profile);
-  std::vector<std::uint64_t> keys;
-  generate_synthetic(specs, duration, seed, [&](TimePoint at, FunctionId fn) {
-    keys.push_back(TraceArena::pack(at, fn));
-  });
-  a.adopt_keys(keys);
-  return a;
 }
 
 Trace make_cyclic_trace(const std::vector<FunctionProfile>& profiles,
@@ -153,10 +121,11 @@ Trace make_cyclic_trace(const std::vector<FunctionProfile>& profiles,
   Trace t;
   t.duration = duration;
   t.functions = profiles;
+  // Strictly increasing times: emitted already sorted.
   TimePoint at{};
   FunctionId fn = 0;
   while (at < duration) {
-    t.events.push_back(TraceEvent{at, fn});
+    t.keys.push_back(Trace::pack(at, fn));
     fn = static_cast<FunctionId>((fn + 1) % profiles.size());
     at += gap;
   }

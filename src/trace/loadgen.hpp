@@ -5,7 +5,6 @@
 
 #include "common/types.hpp"
 #include "runtime/runtime.hpp"
-#include "trace/event_view.hpp"
 #include "trace/workload.hpp"
 #include "util/rng.hpp"
 
@@ -22,17 +21,15 @@ using InvokeFn =
     std::function<void(FunctionId, std::function<void(const InvokeResult&)>)>;
 
 /// Replays a workload open-loop: invocation i is submitted at trace time
-/// events[i].at relative to start(). Uses O(1) outstanding timers by
-/// chaining to the next event. All storage layouts — AoS Trace, SoA
-/// TraceArena, and packed-key arenas (in RAM or mmap'd from disk) — replay
-/// through one EventView hot loop with no per-event branching.
+/// events.at(i) relative to start(). Uses O(1) outstanding timers by
+/// chaining to the next event. A Trace and an mmap'd arena are the same
+/// packed keys, so both replay through this one EventView loop.
 class OpenLoopDriver {
  public:
   OpenLoopDriver(Runtime& rt, InvokeFn invoke);
 
-  /// Begin replay. The viewed storage must outlive the driver's run.
-  void start(const Trace& trace) { start(EventView(trace)); }
-  void start(const TraceArena& arena) { start(EventView(arena)); }
+  /// Begin replay. The viewed storage (a Trace converts implicitly) must
+  /// outlive the driver's run.
   void start(EventView events);
 
   /// Stream completions to `sink` instead of accumulating them in
@@ -109,11 +106,14 @@ struct SyntheticFunctionSpec {
 Trace make_synthetic_trace(const std::vector<SyntheticFunctionSpec>& specs,
                            Duration duration, std::uint64_t seed = 1);
 
-/// Same workload as make_synthetic_trace (identical RNG draws, identical
-/// event order) generated straight into a flat SoA arena — the fast path
-/// for large function grids.
-TraceArena make_synthetic_arena(const std::vector<SyntheticFunctionSpec>& specs,
-                                Duration duration, std::uint64_t seed = 1);
+/// Benchmark-compat shim: perfbench/ still calls the generator by its old
+/// arena name. No other code may use it; it goes with the next benchmark
+/// change (ROADMAP).
+inline Trace make_synthetic_arena(
+    const std::vector<SyntheticFunctionSpec>& specs, Duration duration,
+    std::uint64_t seed = 1) {
+  return make_synthetic_trace(specs, duration, seed);
+}
 
 /// Cyclic access pattern: functions are invoked in rotation, one every
 /// `gap` (Fig 6's "cyclic" skewed workload).

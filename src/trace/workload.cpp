@@ -1,30 +1,43 @@
 #include "trace/workload.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace ilu {
 
-TraceStats Trace::stats() const {
+std::uint64_t Trace::pack_checked(TimePoint at, FunctionId fn) {
+  if (at.count() < 0 || at.count() > kMaxUs) {
+    throw std::out_of_range("event time " + std::to_string(at.count()) +
+                            " us out of packed-key range");
+  }
+  if (fn > kMaxFn) {
+    throw std::out_of_range("function id " + std::to_string(fn) +
+                            " out of packed-key range");
+  }
+  return pack(at, fn);
+}
+
+TraceStats trace_stats(const std::vector<FunctionProfile>& functions,
+                       EventView events, Duration duration) {
   TraceStats s;
   s.num_functions = functions.size();
   s.num_invocations = events.size();
   if (events.empty()) return s;
 
-  Duration span = duration > Duration::zero()
-                      ? duration
-                      : events.back().at - events.front().at;
+  const Duration observed = events.at(events.size() - 1) - events.at(0);
+  Duration span = duration > Duration::zero() ? duration : observed;
   if (span <= Duration::zero()) span = usecs(1);
   s.reqs_per_sec = static_cast<double>(events.size()) / to_sec(span);
   if (events.size() > 1) {
-    s.avg_iat = Duration{(events.back().at - events.front().at).count() /
+    s.avg_iat = Duration{observed.count() /
                          static_cast<std::int64_t>(events.size() - 1)};
   }
 
   // Little's law: per-function arrival rate x warm execution time.
   std::vector<std::size_t> counts(functions.size(), 0);
-  for (const auto& e : events) ++counts[e.fn];
+  for (std::size_t i = 0; i < events.size(); ++i) ++counts[events.fn(i)];
   for (std::size_t f = 0; f < functions.size(); ++f) {
     double rate = static_cast<double>(counts[f]) / to_sec(span);
     s.expected_concurrency += rate * to_sec(functions[f].warm_time);
@@ -32,15 +45,19 @@ TraceStats Trace::stats() const {
   return s;
 }
 
+TraceStats Trace::stats() const {
+  return trace_stats(functions, *this, duration);
+}
+
 std::vector<double> Trace::invocations_per_second_by_minute() const {
-  if (events.empty()) return {};
-  Duration span = duration > Duration::zero() ? duration : events.back().at;
+  if (keys.empty()) return {};
+  Duration span = duration > Duration::zero() ? duration : at(size() - 1);
   auto num_minutes =
       static_cast<std::size_t>(std::ceil(to_sec(span) / 60.0));
   if (num_minutes == 0) num_minutes = 1;
   std::vector<double> out(num_minutes, 0.0);
-  for (const auto& e : events) {
-    auto m = static_cast<std::size_t>(to_sec(e.at) / 60.0);
+  for (std::uint64_t k : keys) {
+    auto m = static_cast<std::size_t>(to_sec(key_at(k)) / 60.0);
     if (m >= out.size()) m = out.size() - 1;
     out[m] += 1.0;
   }
@@ -49,38 +66,10 @@ std::vector<double> Trace::invocations_per_second_by_minute() const {
 }
 
 bool Trace::valid() const {
-  if (!std::is_sorted(events.begin(), events.end(),
-                      [](const TraceEvent& a, const TraceEvent& b) {
-                        return a.at < b.at;
-                      })) {
-    return false;
-  }
-  return std::all_of(events.begin(), events.end(), [&](const TraceEvent& e) {
-    return e.fn < functions.size();
-  });
-}
-
-void TraceArena::adopt_keys(std::vector<std::uint64_t>& keys) {
-  std::sort(keys.begin(), keys.end());
-  at_us.clear();
-  fn.clear();
-  at_us.reserve(keys.size());
-  fn.reserve(keys.size());
-  for (std::uint64_t k : keys) {
-    at_us.push_back(key_at(k).count());
-    fn.push_back(key_fn(k));
-  }
-}
-
-Trace TraceArena::to_trace() const {
-  Trace t;
-  t.functions = functions;
-  t.duration = duration;
-  t.events.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    t.events.push_back(TraceEvent{Duration{at_us[i]}, fn[i]});
-  }
-  return t;
+  return std::is_sorted(keys.begin(), keys.end()) &&
+         std::all_of(keys.begin(), keys.end(), [&](std::uint64_t k) {
+           return key_fn(k) < functions.size();
+         });
 }
 
 }  // namespace ilu

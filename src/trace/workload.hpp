@@ -10,12 +10,16 @@
 /// Workload representation: a function table plus a time-ordered invocation
 /// stream. This is the open-loop "timeseries of function invocations" the
 /// paper's load-generation framework produces for repeatable experiments.
+///
+/// There is one event representation (DESIGN.md §8): a packed 64-bit key,
+/// (microsecond << 20) | function id, and a trace is those keys sorted
+/// ascending. That is exactly the key column of an ilu-arena-v1 file
+/// (arena_file.hpp), so a generated trace and an mmap'd one replay through
+/// the same EventView. Every generator emits function-major with ascending
+/// ids, packs, and sorts: ties at one microsecond order by function id —
+/// the order a stable time sort of that output gives — and equal (at, fn)
+/// keys are indistinguishable.
 namespace ilu {
-
-struct TraceEvent {
-  TimePoint at{};
-  FunctionId fn = 0;
-};
 
 struct TraceStats {
   std::size_t num_functions = 0;
@@ -29,46 +33,16 @@ struct TraceStats {
 };
 
 struct Trace {
-  std::vector<FunctionProfile> functions;
-  /// Sorted by `at`, ties in generation order.
-  std::vector<TraceEvent> events;
-  /// Nominal length of the workload (events all lie in [0, duration]).
-  Duration duration{};
-
-  TraceStats stats() const;
-
-  /// Invocations per second, bucketed by minute — the appendix timeseries
-  /// figures. Bucket i covers [i min, i+1 min).
-  std::vector<double> invocations_per_second_by_minute() const;
-
-  /// Verify events are sorted and reference valid functions.
-  bool valid() const;
-};
-
-/// Structure-of-arrays event storage for trace generation at scale.
-///
-/// Generators emit one packed 64-bit key per event — (microsecond << 20) |
-/// function id — into a flat arena, sort the keys with a plain std::sort
-/// (8-byte moves, no comparator indirection), and unpack into parallel
-/// columns. For tens of thousands of functions this beats building an AoS
-/// vector<TraceEvent> and stable_sorting 16-byte structs, and replaying
-/// from the columns touches half the bytes per event.
-///
-/// The packed order equals the legacy Trace order: ties at the same
-/// microsecond sort by function id, which is exactly what
-/// stable_sort-over-function-major-generation produced, and same-(at, fn)
-/// duplicates are indistinguishable. TraceArena::to_trace() is therefore
-/// byte-identical to the corresponding legacy generator output.
-struct TraceArena {
   /// Function id width inside a packed key. Supports ~1M functions and
-  /// timestamps to ~2^43 µs (about 100 days) — both asserted at pack time.
+  /// timestamps to ~2^43 µs (about 100 days).
   static constexpr int kFnBits = 20;
   static constexpr std::uint64_t kMaxFn = (1ull << kFnBits) - 1;
   static constexpr std::int64_t kMaxUs = (1ll << (63 - kFnBits)) - 1;
 
-  /// Pack one event into its 64-bit key. Bounds are ILU_DCHECKed (debug /
-  /// checks-forced builds abort on out-of-range inputs; release packs
-  /// garbage, which the arena-file verifier catches downstream).
+  /// Pack one event into its key. Bounds are ILU_DCHECKed: generators stay
+  /// in range by construction, and release builds pack garbage (the
+  /// arena-file verifier catches it downstream). Outside input goes
+  /// through pack_checked().
   static std::uint64_t pack(TimePoint at, FunctionId fn) {
     const std::int64_t us = at.count();
     ILU_DCHECK(us >= 0 && us <= kMaxUs, "event time out of packed-key range");
@@ -76,7 +50,9 @@ struct TraceArena {
     return (static_cast<std::uint64_t>(us) << kFnBits) |
            static_cast<std::uint64_t>(fn);
   }
-  /// Unpack the timestamp / function-id halves of a key.
+  /// pack() for events read from files: throws std::out_of_range in every
+  /// build type instead of packing garbage.
+  static std::uint64_t pack_checked(TimePoint at, FunctionId fn);
   static TimePoint key_at(std::uint64_t key) {
     return Duration{static_cast<std::int64_t>(key >> kFnBits)};
   }
@@ -85,20 +61,54 @@ struct TraceArena {
   }
 
   std::vector<FunctionProfile> functions;
-  /// Event columns, sorted ascending by (at_us, fn).
-  std::vector<std::int64_t> at_us;
-  std::vector<FunctionId> fn;
+  /// Packed event keys, ascending.
+  std::vector<std::uint64_t> keys;
+  /// Nominal length of the workload (events all lie in [0, duration]).
   Duration duration{};
 
-  std::size_t size() const { return at_us.size(); }
-  TimePoint at(std::size_t i) const { return Duration{at_us[i]}; }
+  std::size_t size() const { return keys.size(); }
+  TimePoint at(std::size_t i) const { return key_at(keys[i]); }
+  FunctionId fn(std::size_t i) const { return key_fn(keys[i]); }
 
-  /// Sort `keys` in place and unpack them into the columns (replacing any
-  /// previous contents). functions/duration are left to the caller.
-  void adopt_keys(std::vector<std::uint64_t>& keys);
+  TraceStats stats() const;
 
-  /// Materialize the equivalent AoS trace (same functions, same order).
-  Trace to_trace() const;
+  /// Invocations per second, bucketed by minute — the appendix timeseries
+  /// figures. Bucket i covers [i min, i+1 min).
+  std::vector<double> invocations_per_second_by_minute() const;
+
+  /// Verify the keys are ascending and reference valid functions.
+  bool valid() const;
 };
+
+/// Benchmark-compat shim: perfbench/ still names the in-RAM trace by its
+/// old arena name. No other code may use it; it goes with the next
+/// benchmark change (ROADMAP).
+using TraceArena = Trace;
+
+/// Replay view: a span of `n` sorted packed keys, in RAM (a Trace) or
+/// mmap'd from an ilu-arena-v1 file. The storage must outlive the view.
+class EventView {
+ public:
+  EventView() = default;
+  EventView(const std::uint64_t* keys, std::size_t n) : keys_(keys), n_(n) {}
+  /// Implicit, so a Trace replays wherever a view is taken; a temporary
+  /// Trace would dangle and is rejected.
+  EventView(const Trace& t) : EventView(t.keys.data(), t.keys.size()) {}
+  EventView(const Trace&&) = delete;
+
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  TimePoint at(std::size_t i) const { return Trace::key_at(keys_[i]); }
+  FunctionId fn(std::size_t i) const { return Trace::key_fn(keys_[i]); }
+
+ private:
+  const std::uint64_t* keys_ = nullptr;
+  std::size_t n_ = 0;
+};
+
+/// Statistics of any event stream: Trace::stats(), and `trace_tool info`
+/// over an mmap'd arena without materializing it.
+TraceStats trace_stats(const std::vector<FunctionProfile>& functions,
+                       EventView events, Duration duration);
 
 }  // namespace ilu

@@ -1,8 +1,8 @@
 // Tests for the ilu-arena-v1 on-disk format (DESIGN.md §13): packed-key
-// round-trips, the EventView column abstraction over all three storage
-// layouts, strict-open rejection of malformed files, the deferred verify()
-// integrity scan, and the determinism contract of the chunked generator
-// (byte-identical to a one-shot build_arena + write_arena_file pass).
+// round-trips, the mmap'd EventView, strict-open rejection of malformed
+// files, the deferred verify() integrity scan, and the determinism contract
+// of the chunked generator (byte-identical to a one-shot build_trace +
+// write_arena_file pass).
 
 #include "trace/arena_file.hpp"
 
@@ -17,7 +17,6 @@
 
 #include "trace/arena_gen.hpp"
 #include "trace/azure.hpp"
-#include "trace/event_view.hpp"
 #include "trace/workload.hpp"
 
 namespace ilu {
@@ -41,8 +40,8 @@ void dump(const std::string& path, const std::vector<std::uint8_t>& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-TraceArena tiny_arena() {
-  TraceArena a;
+Trace tiny_trace() {
+  Trace a;
   FunctionProfile p0;
   p0.name = "fn_a";
   p0.mem_mb = 128;
@@ -54,14 +53,15 @@ TraceArena tiny_arena() {
   p1.cpus = 2.0;
   a.functions = {p0, p1};
   a.duration = secs(10);
-  a.at_us = {0, 1'000'000, 2'000'000, 2'000'000, 9'999'999};
-  a.fn = {0, 1, 0, 1, 0};
+  a.keys = {Trace::pack(usecs(0), 0), Trace::pack(usecs(1'000'000), 1),
+            Trace::pack(usecs(2'000'000), 0), Trace::pack(usecs(2'000'000), 1),
+            Trace::pack(usecs(9'999'999), 0)};
   return a;
 }
 
 std::string write_tiny(const std::string& name) {
   auto path = tmp_path(name);
-  write_arena_file(tiny_arena(), path);
+  write_arena_file(tiny_trace(), path);
   return path;
 }
 
@@ -73,15 +73,15 @@ TEST(PackedKeys, RoundTripBoundaries) {
     FunctionId fn;
   } cases[] = {
       {0, 0},
-      {0, static_cast<FunctionId>(TraceArena::kMaxFn)},
-      {TraceArena::kMaxUs, 0},
-      {TraceArena::kMaxUs, static_cast<FunctionId>(TraceArena::kMaxFn)},
+      {0, static_cast<FunctionId>(Trace::kMaxFn)},
+      {Trace::kMaxUs, 0},
+      {Trace::kMaxUs, static_cast<FunctionId>(Trace::kMaxFn)},
       {123'456'789, 54321},
   };
   for (const auto& c : cases) {
-    std::uint64_t k = TraceArena::pack(TimePoint{c.at_us}, c.fn);
-    EXPECT_EQ(TraceArena::key_at(k).count(), c.at_us);
-    EXPECT_EQ(TraceArena::key_fn(k), c.fn);
+    std::uint64_t k = Trace::pack(TimePoint{c.at_us}, c.fn);
+    EXPECT_EQ(Trace::key_at(k).count(), c.at_us);
+    EXPECT_EQ(Trace::key_fn(k), c.fn);
   }
 }
 
@@ -89,37 +89,10 @@ TEST(PackedKeys, SortOrderIsTimeMajor) {
   // Same timestamp sorts by fn; later timestamp always sorts after, even
   // with a smaller fn.
   auto k = [](std::int64_t us, FunctionId fn) {
-    return TraceArena::pack(TimePoint{us}, fn);
+    return Trace::pack(TimePoint{us}, fn);
   };
   EXPECT_LT(k(5, 1), k(5, 2));
-  EXPECT_LT(k(5, static_cast<FunctionId>(TraceArena::kMaxFn)), k(6, 0));
-}
-
-// ---------------------------------------------------------------- EventView
-
-TEST(EventViewLayouts, AllThreeLayoutsAgree) {
-  TraceArena arena = tiny_arena();
-  Trace trace;
-  trace.functions = arena.functions;
-  trace.duration = arena.duration;
-  for (std::size_t i = 0; i < arena.size(); ++i)
-    trace.events.push_back({arena.at(i), arena.fn[i]});
-  std::vector<std::uint64_t> keys;
-  for (std::size_t i = 0; i < arena.size(); ++i)
-    keys.push_back(TraceArena::pack(arena.at(i), arena.fn[i]));
-
-  EventView aos(trace);
-  EventView soa(arena);
-  EventView packed = EventView::packed(keys.data(), keys.size());
-  ASSERT_EQ(aos.size(), arena.size());
-  ASSERT_EQ(soa.size(), arena.size());
-  ASSERT_EQ(packed.size(), arena.size());
-  for (std::size_t i = 0; i < arena.size(); ++i) {
-    EXPECT_EQ(aos.at(i), soa.at(i)) << i;
-    EXPECT_EQ(aos.at(i), packed.at(i)) << i;
-    EXPECT_EQ(aos.fn(i), soa.fn(i)) << i;
-    EXPECT_EQ(aos.fn(i), packed.fn(i)) << i;
-  }
+  EXPECT_LT(k(5, static_cast<FunctionId>(Trace::kMaxFn)), k(6, 0));
 }
 
 // --------------------------------------------------------------- round trip
@@ -138,12 +111,12 @@ TEST(ArenaFile, RoundTripPreservesEverything) {
   EXPECT_EQ(f.functions()[0].init_time, secs(2));
   f.verify();  // full integrity scan must pass on a fresh file
 
-  TraceArena back = f.to_arena();
-  TraceArena orig = tiny_arena();
-  ASSERT_EQ(back.size(), orig.size());
+  const Trace orig = tiny_trace();
+  ASSERT_EQ(f.size(), orig.size());
   for (std::size_t i = 0; i < orig.size(); ++i) {
-    EXPECT_EQ(back.at(i), orig.at(i)) << i;
-    EXPECT_EQ(back.fn[i], orig.fn[i]) << i;
+    EXPECT_EQ(f.keys()[i], orig.keys[i]) << i;
+    EXPECT_EQ(f.at(i), orig.at(i)) << i;
+    EXPECT_EQ(f.fn(i), orig.fn(i)) << i;
   }
   std::remove(path.c_str());
 }
@@ -171,15 +144,14 @@ TEST(ArenaFile, KeyColumnIsPageAligned) {
 TEST(ArenaFile, ReleaseKeysBeforeKeepsDataReadable) {
   // Build a file big enough to span several pages so the madvise path
   // actually fires, then release mid-column and re-read everything.
-  TraceArena a;
+  Trace a;
   FunctionProfile p;
   p.name = "f";
   p.warm_time = msecs(1);
   p.init_time = msecs(2);
   a.functions = {p};
   for (std::int64_t i = 0; i < 4096; ++i) {
-    a.at_us.push_back(i * 1000);
-    a.fn.push_back(0);
+    a.keys.push_back(Trace::pack(usecs(i * 1000), 0));
   }
   a.duration = secs(10);
   auto path = tmp_path("ilu_release.arena");
@@ -207,8 +179,8 @@ TEST(ArenaFileWriter, RejectsOutOfOrderKeys) {
   FunctionProfile p;
   p.name = "f";
   w.begin({p}, secs(1));
-  std::uint64_t keys[] = {TraceArena::pack(TimePoint{5}, 0),
-                          TraceArena::pack(TimePoint{3}, 0)};
+  std::uint64_t keys[] = {Trace::pack(TimePoint{5}, 0),
+                          Trace::pack(TimePoint{3}, 0)};
   EXPECT_THROW(w.append_keys(keys, 2), std::logic_error);
   std::remove(path.c_str());
 }
@@ -219,7 +191,7 @@ TEST(ArenaFileWriter, RejectsUnknownFunction) {
   FunctionProfile p;
   p.name = "f";
   w.begin({p}, secs(1));
-  std::uint64_t key = TraceArena::pack(TimePoint{1}, 1);  // only fn 0 exists
+  std::uint64_t key = Trace::pack(TimePoint{1}, 1);  // only fn 0 exists
   EXPECT_THROW(w.append_keys(&key, 1), std::logic_error);
   std::remove(path.c_str());
 }
@@ -317,7 +289,7 @@ TEST(ArenaGen, ChunkedFileByteIdenticalToOneShot) {
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
 
   auto one_shot = tmp_path("ilu_gen_oneshot.arena");
-  write_arena_file(model.build_arena(idx, 1.0), one_shot);
+  write_arena_file(model.build_trace(idx, 1.0), one_shot);
 
   // Deliberately awkward chunk size (not a divisor of 600) to exercise the
   // short final chunk and a real k-way merge.
@@ -347,7 +319,7 @@ TEST(ArenaGen, SingleChunkFastPathMatchesToo) {
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
 
   auto one_shot = tmp_path("ilu_gen_oneshot2.arena");
-  write_arena_file(model.build_arena(idx, 1.0), one_shot);
+  write_arena_file(model.build_trace(idx, 1.0), one_shot);
   auto single = tmp_path("ilu_gen_single.arena");
   auto stats = generate_arena_file(model, idx, 1.0, single);  // default chunk > 200
   EXPECT_EQ(stats.chunks, 1u);

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "keepalive/simulator.hpp"
+#include "util/hash.hpp"
 
 namespace ilu {
 namespace {
@@ -87,16 +88,29 @@ TEST_F(AzureCsvTest, AppMemorySplitEvenly) {
 TEST_F(AzureCsvTest, MinuteBucketReplayRule) {
   auto t = load_azure_dataset(inv_, dur_, mem_);
   // fnA minute 1 (bucket index 0): 3 invocations equally spaced 20 s apart.
-  ASSERT_GE(t.events.size(), 4u);
-  EXPECT_EQ(t.events[0].at, secs(0));
-  EXPECT_EQ(t.events[1].at, secs(20));
-  EXPECT_EQ(t.events[2].at, secs(40));
+  ASSERT_GE(t.size(), 4u);
+  EXPECT_EQ(t.at(0), secs(0));
+  EXPECT_EQ(t.at(1), secs(20));
+  EXPECT_EQ(t.at(2), secs(40));
   // fnA minute 3 single invocation -> start of minute (120 s).
-  EXPECT_EQ(t.events[3].at, secs(120));
+  EXPECT_EQ(t.at(3), secs(120));
   // fnC minute 5: two at 240 and 270.
-  EXPECT_EQ(t.events[4].at, secs(240));
-  EXPECT_EQ(t.events[5].at, secs(270));
-  EXPECT_EQ(t.events[4].fn, 1u);
+  EXPECT_EQ(t.at(4), secs(240));
+  EXPECT_EQ(t.at(5), secs(270));
+  EXPECT_EQ(t.fn(4), 1u);
+}
+
+TEST_F(AzureCsvTest, EventOrderIsPinned) {
+  auto t = load_azure_dataset(inv_, dur_, mem_);
+  std::uint64_t h = kFnv1a64Basis;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const std::int64_t at = t.at(i).count();
+    const std::uint32_t fn = t.fn(i);
+    h = fnv1a64_bytes(&at, sizeof at, h);
+    h = fnv1a64_bytes(&fn, sizeof fn, h);
+  }
+  EXPECT_EQ(t.size(), 6u);
+  EXPECT_EQ(h, 0x83cde45653be5b34u) << std::hex << h;
 }
 
 TEST_F(AzureCsvTest, DurationCoversAllMinutes) {
@@ -116,6 +130,24 @@ TEST_F(AzureCsvTest, MissingFileThrows) {
                std::runtime_error);
 }
 
+TEST_F(AzureCsvTest, MinutePastPackedKeyRangeThrows) {
+  // Trace::kMaxUs (2^43 - 1 us) falls inside 0-based minute 146601, so one
+  // invocation at the start of minute 146602 cannot be packed: the loader
+  // must refuse it in every build type rather than wrap the timestamp.
+  constexpr int kMinutes = 146603;
+  static_assert(std::int64_t{kMinutes - 1} * 60'000'000 > Trace::kMaxUs);
+  auto far = (dir_ / "far_invocations.csv").string();
+  {
+    std::ofstream f(far);
+    f << "HashOwner,HashApp,HashFunction,Trigger";
+    for (int m = 1; m <= kMinutes; ++m) f << "," << m;
+    f << "\no1,appX,fnA,http,1";
+    for (int m = 2; m < kMinutes; ++m) f << ",0";
+    f << ",1\n";
+  }
+  EXPECT_THROW(load_azure_dataset(far, dur_, mem_), std::out_of_range);
+}
+
 TEST_F(AzureCsvTest, MalformedHeaderThrows) {
   auto bad = (dir_ / "bad.csv").string();
   {
@@ -128,7 +160,7 @@ TEST_F(AzureCsvTest, MalformedHeaderThrows) {
 TEST_F(AzureCsvTest, LoadedTraceRunsThroughKeepAliveSim) {
   auto t = load_azure_dataset(inv_, dur_, mem_);
   auto r = run_keepalive_sim(t, "GD", 1024);
-  EXPECT_EQ(r.stats.invocations, t.events.size());
+  EXPECT_EQ(r.stats.invocations, t.size());
   EXPECT_GT(r.stats.cold_starts, 0u);
 }
 

@@ -94,7 +94,7 @@ TEST_F(AzureModelTest, RepresentativeSamplerSpansQuartiles) {
   // Should contain both very frequent and very infrequent functions: count
   // per-function event totals.
   std::vector<std::size_t> counts(rep.functions.size(), 0);
-  for (const auto& e : rep.events) ++counts[e.fn];
+  for (std::size_t i = 0; i < rep.size(); ++i) ++counts[rep.fn(i)];
   auto [mn, mx] = std::minmax_element(counts.begin(), counts.end());
   EXPECT_LT(*mn * 10, *mx + 10);  // large spread
 }
@@ -118,17 +118,15 @@ TEST_F(AzureModelTest, MinuteBucketReplayRule) {
   // Events within one minute must be equally spaced: check spacing
   // divisibility for a busy function.
   auto t = model_.sample_random(20, /*target_rps=*/10.0);
-  ASSERT_FALSE(t.events.empty());
+  ASSERT_GT(t.size(), 0u);
   // All events of the same (fn, minute) bucket are equally spaced; verify
   // for the first busy minute we find with >= 3 events of one function.
-  for (std::size_t i = 0; i + 2 < t.events.size(); ++i) {
-    const auto& a = t.events[i];
+  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
     std::vector<TimePoint> same;
-    auto minute = a.at.count() / 60'000'000;
-    for (std::size_t j = i; j < t.events.size(); ++j) {
-      const auto& b = t.events[j];
-      if (b.at.count() / 60'000'000 != minute) break;
-      if (b.fn == a.fn) same.push_back(b.at);
+    auto minute = t.at(i).count() / 60'000'000;
+    for (std::size_t j = i; j < t.size(); ++j) {
+      if (t.at(j).count() / 60'000'000 != minute) break;
+      if (t.fn(j) == t.fn(i)) same.push_back(t.at(j));
     }
     if (same.size() >= 3) {
       auto gap1 = same[1] - same[0];
@@ -179,33 +177,6 @@ TEST(AzureModelEdge, SampleMoreThanPopulationClamps) {
   AzureTraceModel model(cfg);
   auto t = model.sample_random(100);
   EXPECT_EQ(t.functions.size(), 10u);
-}
-
-TEST_F(AzureModelTest, ArenaSamplersMatchTraceSamplers) {
-  // The SoA arena path must be event-for-event identical to the AoS path:
-  // the sharded bench relies on replaying an arena in place of a trace.
-  struct Pair {
-    Trace trace;
-    TraceArena arena;
-  };
-  const double rps = 15.0;
-  for (const auto& [t, a] :
-       {Pair{model_.sample_rare(30, rps), model_.sample_rare_arena(30, rps)},
-        Pair{model_.sample_representative(30, rps),
-             model_.sample_representative_arena(30, rps)},
-        Pair{model_.sample_random(30, rps),
-             model_.sample_random_arena(30, rps)}}) {
-    ASSERT_EQ(a.size(), t.events.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a.at(i), t.events[i].at) << "event " << i;
-      ASSERT_EQ(a.fn[i], t.events[i].fn) << "event " << i;
-    }
-    ASSERT_EQ(a.functions.size(), t.functions.size());
-    for (std::size_t i = 0; i < a.functions.size(); ++i) {
-      EXPECT_EQ(a.functions[i].name, t.functions[i].name);
-    }
-    EXPECT_EQ(a.duration, t.duration);
-  }
 }
 
 }  // namespace

@@ -84,15 +84,15 @@ TEST(AzureActivity, TrafficConcentratesInWindows) {
   ASSERT_NE(chosen, SIZE_MAX);
   auto trace = model.build_trace({chosen});
   const auto& m = model.population()[chosen];
-  ASSERT_GT(trace.events.size(), 10u);
+  ASSERT_GT(trace.size(), 10u);
   std::size_t inside = 0;
-  for (const auto& e : trace.events) {
-    double minute = to_sec(e.at) / 60.0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    double minute = to_sec(trace.at(i)) / 60.0;
     double off = minute - m.active_start_min;
     if (off < 0) off += 1440.0;
     if (off < m.active_len_min) ++inside;
   }
-  EXPECT_GT(static_cast<double>(inside) / trace.events.size(), 0.5);
+  EXPECT_GT(static_cast<double>(inside) / trace.size(), 0.5);
 }
 
 TEST(AzureConcurrencyCap, BoundsPerFunctionExpectedConcurrency) {

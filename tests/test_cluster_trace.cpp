@@ -53,7 +53,7 @@ TEST(ClusterTrace, ChblCompletesAzureTraffic) {
   auto rep = replay(cluster, rt, trace);
   cluster.shutdown();
 
-  EXPECT_EQ(rep.global().invocations, trace.events.size());
+  EXPECT_EQ(rep.global().invocations, trace.size());
   EXPECT_EQ(rep.global().dropped, 0u);
   EXPECT_EQ(rep.global().failed, 0u);
   EXPECT_GT(rep.global().warm_ratio(), 0.5);
@@ -90,7 +90,7 @@ TEST(ClusterTrace, PerFunctionRowsCoverEveryActiveFunction) {
   auto rep = replay(cluster, rt, trace);
   cluster.shutdown();
   std::vector<bool> seen(trace.functions.size(), false);
-  for (const auto& e : trace.events) seen[e.fn] = true;
+  for (std::size_t i = 0; i < trace.size(); ++i) seen[trace.fn(i)] = true;
   for (FunctionId f = 0; f < trace.functions.size(); ++f) {
     if (seen[f]) {
       ASSERT_NE(rep.function(f), nullptr) << f;

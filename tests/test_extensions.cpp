@@ -23,7 +23,8 @@ TEST(Clairvoyant, NextUseTracksTrace) {
   Trace t;
   t.functions = {lookbusy(secs(1), 100, secs(1))};
   t.duration = mins(10);
-  t.events = {{secs(10), 0}, {secs(50), 0}, {secs(200), 0}};
+  t.keys = {Trace::pack(secs(10), 0), Trace::pack(secs(50), 0),
+            Trace::pack(secs(200), 0)};
   ClairvoyantPolicy p(t);
   EXPECT_EQ(p.next_use(0), secs(10));
   p.on_invocation(0, secs(10));
@@ -40,7 +41,8 @@ TEST(Clairvoyant, RanksFurthestNextUseForEviction) {
   t.functions = {lookbusy(secs(1), 100, secs(1)),
                  lookbusy(secs(1), 100, secs(1))};
   t.duration = mins(10);
-  t.events = {{secs(0), 0}, {secs(0), 1}, {secs(30), 0}, {secs(300), 1}};
+  t.keys = {Trace::pack(secs(0), 0), Trace::pack(secs(0), 1),
+            Trace::pack(secs(30), 0), Trace::pack(secs(300), 1)};
   ClairvoyantPolicy p(t);
   p.on_invocation(0, secs(0));
   p.on_invocation(1, secs(0));

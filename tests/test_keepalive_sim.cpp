@@ -27,9 +27,9 @@ Trace small_azure_trace() {
 TEST(KeepAliveSim, RunsAndAccountsAllInvocations) {
   auto trace = small_azure_trace();
   auto r = run_keepalive_sim(trace, "LRU", 8 * 1024);
-  EXPECT_EQ(r.stats.invocations, trace.events.size());
+  EXPECT_EQ(r.stats.invocations, trace.size());
   EXPECT_EQ(r.stats.warm_starts + r.stats.cold_starts + r.stats.dropped,
-            trace.events.size());
+            trace.size());
 }
 
 TEST(KeepAliveSim, LargerCacheNeverHurtsLru) {
@@ -75,7 +75,7 @@ TEST(KeepAliveSim, ZeroCapacityDropsEverything) {
   Trace t;
   t.functions = {lookbusy(secs(1), 100, secs(1))};
   t.duration = secs(10);
-  t.events = {{secs(0), 0}, {secs(5), 0}};
+  t.keys = {Trace::pack(secs(0), 0), Trace::pack(secs(5), 0)};
   auto r = run_keepalive_sim(t, "LRU", 10);  // 10 MB < 100 MB
   EXPECT_EQ(r.stats.dropped, 2u);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "runtime/sim_runtime.hpp"
 #include "trace/function_profile.hpp"
 
@@ -46,7 +48,8 @@ TEST(OpenLoopDriver, SubmitsAtTraceTimes) {
   Trace t;
   t.functions = {pyaes()};
   t.duration = secs(5);
-  t.events = {{msecs(100), 0}, {msecs(250), 0}, {secs(3), 0}};
+  t.keys = {Trace::pack(msecs(100), 0), Trace::pack(msecs(250), 0),
+            Trace::pack(secs(3), 0)};
   OpenLoopDriver d(rt, instant_invoker(rt, &submits));
   d.start(t);
   rt.run();
@@ -64,7 +67,8 @@ TEST(OpenLoopDriver, OpenLoopDoesNotWaitForCompletions) {
   t.functions = {pyaes()};
   t.duration = secs(1);
   // Three events 10 ms apart; service time 1 s each.
-  t.events = {{msecs(0), 0}, {msecs(10), 0}, {msecs(20), 0}};
+  t.keys = {Trace::pack(msecs(0), 0), Trace::pack(msecs(10), 0),
+            Trace::pack(msecs(20), 0)};
   OpenLoopDriver d(rt, delayed_invoker(rt, secs(1)));
   d.start(t);
   rt.run_until(msecs(25));
@@ -90,7 +94,7 @@ TEST(OpenLoopDriver, StartsRelativeToCurrentTime) {
   Trace t;
   t.functions = {pyaes()};
   t.duration = secs(1);
-  t.events = {{msecs(500), 0}};
+  t.keys = {Trace::pack(msecs(500), 0)};
   OpenLoopDriver d(rt, instant_invoker(rt, &submits));
   d.start(t);
   rt.run();
@@ -124,8 +128,8 @@ TEST(SyntheticTrace, ConstantSpacing) {
   };
   auto t = make_synthetic_trace(specs, secs(5));
   EXPECT_TRUE(t.valid());
-  ASSERT_EQ(t.events.size(), 5u);
-  EXPECT_EQ(t.events[3].at, secs(3));
+  ASSERT_EQ(t.size(), 5u);
+  EXPECT_EQ(t.at(3), secs(3));
 }
 
 TEST(SyntheticTrace, PhaseOffset) {
@@ -133,8 +137,8 @@ TEST(SyntheticTrace, PhaseOffset) {
       {.profile = pyaes(), .mean_iat = secs(2), .phase = msecs(500)},
   };
   auto t = make_synthetic_trace(specs, secs(5));
-  ASSERT_FALSE(t.events.empty());
-  EXPECT_EQ(t.events[0].at, msecs(500));
+  ASSERT_GT(t.size(), 0u);
+  EXPECT_EQ(t.at(0), msecs(500));
 }
 
 TEST(SyntheticTrace, ExponentialMeanRateConverges) {
@@ -143,7 +147,7 @@ TEST(SyntheticTrace, ExponentialMeanRateConverges) {
   };
   auto t = make_synthetic_trace(specs, secs(1000), /*seed=*/7);
   // Expect ~10000 events; Poisson noise is ~1%.
-  EXPECT_NEAR(static_cast<double>(t.events.size()), 10000.0, 400.0);
+  EXPECT_NEAR(static_cast<double>(t.size()), 10000.0, 400.0);
 }
 
 TEST(SyntheticTrace, MergesMultipleFunctionsSorted) {
@@ -155,13 +159,13 @@ TEST(SyntheticTrace, MergesMultipleFunctionsSorted) {
   EXPECT_TRUE(t.valid());
   EXPECT_EQ(t.functions.size(), 2u);
   bool saw_both = false;
-  for (const auto& e : t.events) {
-    if (e.fn == 1) saw_both = true;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t.fn(i) == 1) saw_both = true;
   }
   EXPECT_TRUE(saw_both);
 }
 
-TEST(TraceArena, PackRoundTripsAndSortsLikeStableSort) {
+TEST(TraceKeys, PackRoundTripsAndSortsLikeStableSort) {
   auto profiles = function_bench();
   profiles.resize(4);
   std::vector<SyntheticFunctionSpec> specs;
@@ -169,68 +173,40 @@ TEST(TraceArena, PackRoundTripsAndSortsLikeStableSort) {
     specs.push_back({.profile = p, .mean_iat = secs(0.5), .exponential = true});
   }
   auto trace = make_synthetic_trace(specs, secs(30), 7);
-  auto arena = make_synthetic_arena(specs, secs(30), 7);
+  ASSERT_TRUE(trace.valid());
 
-  ASSERT_EQ(arena.size(), trace.events.size());
-  for (std::size_t i = 0; i < arena.size(); ++i) {
-    EXPECT_EQ(arena.at(i), trace.events[i].at) << "event " << i;
-    EXPECT_EQ(arena.fn[i], trace.events[i].fn) << "event " << i;
-  }
-  EXPECT_EQ(arena.functions.size(), trace.functions.size());
-  EXPECT_EQ(arena.duration, trace.duration);
-}
-
-TEST(TraceArena, ToTraceMaterializesIdenticalEvents) {
-  auto profiles = function_bench();
-  profiles.resize(3);
-  std::vector<SyntheticFunctionSpec> specs;
-  for (const auto& p : profiles) {
-    specs.push_back({.profile = p, .mean_iat = secs(1.0), .exponential = true});
-  }
-  auto trace = make_synthetic_trace(specs, secs(20), 11);
-  auto round = make_synthetic_arena(specs, secs(20), 11).to_trace();
-  ASSERT_EQ(round.events.size(), trace.events.size());
-  for (std::size_t i = 0; i < round.events.size(); ++i) {
-    EXPECT_EQ(round.events[i].at, trace.events[i].at);
-    EXPECT_EQ(round.events[i].fn, trace.events[i].fn);
-  }
-  EXPECT_TRUE(round.valid());
-}
-
-TEST(OpenLoopDriver, ArenaReplayMatchesTraceReplay) {
-  auto profiles = function_bench();
-  profiles.resize(3);
-  std::vector<SyntheticFunctionSpec> specs;
-  for (const auto& p : profiles) {
-    specs.push_back({.profile = p, .mean_iat = secs(0.8), .exponential = true});
-  }
-  auto trace = make_synthetic_trace(specs, secs(15), 5);
-  auto arena = make_synthetic_arena(specs, secs(15), 5);
-
-  auto replay = [](auto&& start) {
-    SimRuntime rt;
-    std::vector<TimePoint> submits;
-    OpenLoopDriver d(rt, instant_invoker(rt, &submits));
-    start(d);
-    rt.run();
-    EXPECT_TRUE(d.done());
-    return submits;
+  // Rebuild the generator's function-major emission order from the trace
+  // (each function's events are ascending), stable-sort it by time alone,
+  // and require the key order back.
+  struct Event {
+    TimePoint at;
+    FunctionId fn;
   };
-  auto from_trace = replay([&](OpenLoopDriver& d) { d.start(trace); });
-  auto from_arena = replay([&](OpenLoopDriver& d) { d.start(arena); });
-  ASSERT_EQ(from_trace.size(), trace.events.size());
-  EXPECT_EQ(from_arena, from_trace);
+  std::vector<Event> function_major;
+  for (FunctionId f = 0; f < specs.size(); ++f) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (trace.fn(i) == f) function_major.push_back({trace.at(i), f});
+    }
+  }
+  std::stable_sort(function_major.begin(), function_major.end(),
+                   [](const Event& a, const Event& b) { return a.at < b.at; });
+  ASSERT_EQ(function_major.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace.at(i), function_major[i].at) << "event " << i;
+    EXPECT_EQ(trace.fn(i), function_major[i].fn) << "event " << i;
+    EXPECT_EQ(Trace::pack(trace.at(i), trace.fn(i)), trace.keys[i]);
+  }
 }
 
 TEST(CyclicTrace, RotatesThroughFunctions) {
   auto profiles = function_bench();
   profiles.resize(3);
   auto t = make_cyclic_trace(profiles, secs(1), secs(9));
-  ASSERT_EQ(t.events.size(), 9u);
-  EXPECT_EQ(t.events[0].fn, 0u);
-  EXPECT_EQ(t.events[1].fn, 1u);
-  EXPECT_EQ(t.events[2].fn, 2u);
-  EXPECT_EQ(t.events[3].fn, 0u);
+  ASSERT_EQ(t.size(), 9u);
+  EXPECT_EQ(t.fn(0), 0u);
+  EXPECT_EQ(t.fn(1), 1u);
+  EXPECT_EQ(t.fn(2), 2u);
+  EXPECT_EQ(t.fn(3), 0u);
   EXPECT_TRUE(t.valid());
 }
 

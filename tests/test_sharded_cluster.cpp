@@ -18,7 +18,7 @@
 namespace ilu {
 namespace {
 
-TraceArena small_cluster_arena(double target_rps = 3.0) {
+Trace small_cluster_trace(double target_rps = 3.0) {
   AzureModelConfig cfg;
   cfg.population = 1500;
   cfg.days = 0.05;
@@ -30,7 +30,7 @@ TraceArena small_cluster_arena(double target_rps = 3.0) {
   cfg.min_init_s = 0.05;
   cfg.max_init_s = 2.0;
   AzureTraceModel model(cfg);
-  return model.sample_random_arena(40, target_rps);
+  return model.sample_random(40, target_rps);
 }
 
 struct RunResult {
@@ -45,7 +45,7 @@ struct RunResult {
   std::vector<std::uint64_t> dropped;
 };
 
-RunResult run_cluster(std::size_t shards, const TraceArena& arena,
+RunResult run_cluster(std::size_t shards, const Trace& trace,
                       LbPolicy lb) {
   ClusterConfig cfg;
   cfg.num_workers = 4;
@@ -55,7 +55,7 @@ RunResult run_cluster(std::size_t shards, const TraceArena& arena,
 
   ShardedRuntime srt(shards, cfg.rpc.lower_bound());
   Cluster cluster(srt, cfg);
-  for (const auto& f : arena.functions) cluster.register_function(f);
+  for (const auto& f : trace.functions) cluster.register_function(f);
   cluster.start();
 
   OpenLoopDriver d(srt.shard(0),
@@ -63,12 +63,12 @@ RunResult run_cluster(std::size_t shards, const TraceArena& arena,
                        std::function<void(const InvokeResult&)> cb) {
                      cluster.invoke(fn, std::move(cb));
                    });
-  d.start(arena);
+  d.start(trace);
   while (!d.done()) srt.run_for(secs(30));
   cluster.shutdown();
 
   std::vector<std::string> names;
-  for (const auto& f : arena.functions) names.push_back(f.name);
+  for (const auto& f : trace.functions) names.push_back(f.name);
   ExperimentReport rep(std::move(names));
   rep.add_all(d.results());
 
@@ -87,13 +87,13 @@ RunResult run_cluster(std::size_t shards, const TraceArena& arena,
 }
 
 TEST(ShardedCluster, ReportsByteIdenticalAtAnyShardCount) {
-  auto arena = small_cluster_arena();
-  auto serial = run_cluster(1, arena, LbPolicy::ChBl);
+  auto trace = small_cluster_trace();
+  auto serial = run_cluster(1, trace, LbPolicy::ChBl);
   ASSERT_FALSE(serial.report_json.empty());
   EXPECT_EQ(serial.windows, 0u);  // 1 shard takes the fast path
 
   for (std::size_t shards : {2u, 4u}) {
-    auto sharded = run_cluster(shards, arena, LbPolicy::ChBl);
+    auto sharded = run_cluster(shards, trace, LbPolicy::ChBl);
     EXPECT_EQ(sharded.report_json, serial.report_json)
         << "report diverged at " << shards << " shards";
     EXPECT_EQ(sharded.routed, serial.routed);
@@ -105,11 +105,11 @@ TEST(ShardedCluster, ReportsByteIdenticalAtAnyShardCount) {
 }
 
 TEST(ShardedCluster, EquivalenceHoldsForEveryPolicy) {
-  auto arena = small_cluster_arena();
+  auto trace = small_cluster_trace();
   for (LbPolicy lb :
        {LbPolicy::ChBl, LbPolicy::RoundRobin, LbPolicy::LeastLoaded}) {
-    auto serial = run_cluster(1, arena, lb);
-    auto sharded = run_cluster(3, arena, lb);
+    auto serial = run_cluster(1, trace, lb);
+    auto sharded = run_cluster(3, trace, lb);
     EXPECT_EQ(sharded.report_json, serial.report_json);
     EXPECT_EQ(sharded.routed, serial.routed);
   }
@@ -123,9 +123,9 @@ TEST(ShardedCluster, SpanLogCappedPerTracerAndSameAtAnyShardCount) {
   // the shard count (only `thread`, the recording shard's index, may).
   // Round-robin spreads the dense trace evenly, so every worker passes the
   // default cap.
-  auto arena = small_cluster_arena(/*target_rps=*/22.0);
-  auto serial = run_cluster(1, arena, LbPolicy::RoundRobin);
-  auto sharded = run_cluster(4, arena, LbPolicy::RoundRobin);
+  auto trace = small_cluster_trace(/*target_rps=*/22.0);
+  auto serial = run_cluster(1, trace, LbPolicy::RoundRobin);
+  auto sharded = run_cluster(4, trace, LbPolicy::RoundRobin);
   auto fields = [](const std::vector<SpanRecord>& log) {
     std::vector<std::tuple<TransactionId, SpanId, SpanId, std::string_view,
                            TimePoint, Duration>>
@@ -147,8 +147,7 @@ TEST(ShardedCluster, SpanLogCappedPerTracerAndSameAtAnyShardCount) {
 }
 
 TEST(ShardedCluster, LegacySingleRuntimeStillWorks) {
-  auto arena = small_cluster_arena();
-  auto trace = arena.to_trace();
+  auto trace = small_cluster_trace();
 
   SimRuntime rt;
   ClusterConfig cfg;
@@ -165,7 +164,7 @@ TEST(ShardedCluster, LegacySingleRuntimeStillWorks) {
   d.start(trace);
   while (!d.done()) rt.run_for(secs(30));
   cluster.shutdown();
-  EXPECT_EQ(d.results().size(), trace.events.size());
+  EXPECT_EQ(d.results().size(), trace.size());
 }
 
 // ---- worker→shard placement ---------------------------------------------

@@ -168,7 +168,7 @@ TEST(Telemetry, JsonAndCsvExportRoundTrip) {
 
 // ---- determinism acceptance criterion ------------------------------------
 
-TraceArena telemetry_arena() {
+Trace telemetry_trace() {
   AzureModelConfig cfg;
   cfg.population = 600;
   cfg.days = 0.03;
@@ -179,10 +179,10 @@ TraceArena telemetry_arena() {
   cfg.min_init_s = 0.05;
   cfg.max_init_s = 1.5;
   AzureTraceModel model(cfg);
-  return model.sample_random_arena(16, /*target_rps=*/2.0);
+  return model.sample_random(16, /*target_rps=*/2.0);
 }
 
-std::string run_sharded(const TraceArena& arena, bool telemetry,
+std::string run_sharded(const Trace& trace, bool telemetry,
                         std::size_t* frames_out) {
   ClusterConfig cfg;
   cfg.num_workers = 2;
@@ -191,7 +191,7 @@ std::string run_sharded(const TraceArena& arena, bool telemetry,
 
   ShardedRuntime srt(2, cfg.rpc.lower_bound());
   Cluster cluster(srt, cfg);
-  for (const auto& f : arena.functions) cluster.register_function(f);
+  for (const auto& f : trace.functions) cluster.register_function(f);
   cluster.start();
 
   TelemetrySampler sampler(srt.shard(0), msecs(500));
@@ -209,7 +209,7 @@ std::string run_sharded(const TraceArena& arena, bool telemetry,
                        std::function<void(const InvokeResult&)> cb) {
                      cluster.invoke(fn, std::move(cb));
                    });
-  d.start(arena);
+  d.start(trace);
   while (!d.done()) srt.run_for(secs(30));
   if (telemetry) {
     sampler.sample_now();
@@ -219,7 +219,7 @@ std::string run_sharded(const TraceArena& arena, bool telemetry,
   if (frames_out != nullptr) *frames_out = sampler.frames().size();
 
   std::vector<std::string> names;
-  for (const auto& f : arena.functions) names.push_back(f.name);
+  for (const auto& f : trace.functions) names.push_back(f.name);
   ExperimentReport rep(std::move(names));
   rep.add_all(d.results());
   return rep.to_json().dump();
@@ -228,10 +228,10 @@ std::string run_sharded(const TraceArena& arena, bool telemetry,
 /// Sampling only ever reads atomics and snapshots — a sharded run with the
 /// sampler attached must produce a byte-identical report to one without.
 TEST(Telemetry, ShardedReportByteIdenticalWithSamplerOnOrOff) {
-  TraceArena arena = telemetry_arena();
+  Trace trace = telemetry_trace();
   std::size_t frames_on = 0;
-  std::string with = run_sharded(arena, true, &frames_on);
-  std::string without = run_sharded(arena, false, nullptr);
+  std::string with = run_sharded(trace, true, &frames_on);
+  std::string without = run_sharded(trace, false, nullptr);
   EXPECT_GT(frames_on, 1u) << "sampler must actually have run";
   EXPECT_EQ(with, without);
 }

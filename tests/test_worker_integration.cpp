@@ -46,12 +46,12 @@ TEST(WorkerIntegration, TraceReplayCompletesEverything) {
   while (!d.done()) rt.run_for(secs(10));
   w.shutdown();
 
-  EXPECT_EQ(d.results().size(), trace.events.size());
+  EXPECT_EQ(d.results().size(), trace.size());
   std::size_t ok = 0;
   for (const auto& r : d.results()) ok += r.success;
-  EXPECT_EQ(ok, trace.events.size());
-  EXPECT_EQ(w.completed(), trace.events.size());
-  EXPECT_EQ(w.warm_starts() + w.cold_starts(), trace.events.size());
+  EXPECT_EQ(ok, trace.size());
+  EXPECT_EQ(w.completed(), trace.size());
+  EXPECT_EQ(w.warm_starts() + w.cold_starts(), trace.size());
 }
 
 TEST(WorkerIntegration, WarmRateGrowsOverTime) {
@@ -69,7 +69,7 @@ TEST(WorkerIntegration, WarmRateGrowsOverTime) {
   while (!d.done()) rt.run_for(secs(10));
   w.shutdown();
   EXPECT_EQ(w.cold_starts(), 1u);
-  EXPECT_EQ(w.warm_starts(), trace.events.size() - 1);
+  EXPECT_EQ(w.warm_starts(), trace.size() - 1);
 }
 
 TEST(WorkerIntegration, HistPolicyOnWorkerExpiresAndServes) {
@@ -247,7 +247,7 @@ TEST_P(QueuePolicyIntegration, CompletesHeterogeneousWorkload) {
   d.start(trace);
   while (!d.done()) rt.run_for(secs(10));
   w.shutdown();
-  EXPECT_EQ(d.results().size(), trace.events.size());
+  EXPECT_EQ(d.results().size(), trace.size());
   for (const auto& r : d.results()) EXPECT_TRUE(r.success);
 }
 
@@ -280,7 +280,7 @@ TEST_P(KeepAliveIntegration, PoolInvariantsHoldUnderChurn) {
     EXPECT_LE(w.pool().used_mb(), 1024u) << GetParam();
   }
   w.shutdown();
-  EXPECT_EQ(d.results().size(), trace.events.size());
+  EXPECT_EQ(d.results().size(), trace.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, KeepAliveIntegration,

@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <stdexcept>
 
 #include "trace/function_profile.hpp"
-#include "trace/trace_io.hpp"
 
 namespace ilu {
 namespace {
@@ -15,9 +13,9 @@ Trace tiny_trace() {
   Trace t;
   t.functions = {lookbusy(msecs(100), 128), lookbusy(secs(1), 256)};
   t.duration = secs(10);
-  t.events = {
-      {secs(0), 0}, {secs(1), 1}, {secs(2), 0}, {secs(3), 0}, {secs(4), 1},
-  };
+  t.keys = {Trace::pack(secs(0), 0), Trace::pack(secs(1), 1),
+            Trace::pack(secs(2), 0), Trace::pack(secs(3), 0),
+            Trace::pack(secs(4), 1)};
   return t;
 }
 
@@ -73,7 +71,8 @@ TEST(TraceTimeseries, MinuteBuckets) {
   Trace t;
   t.functions = {lookbusy(msecs(10), 64)};
   t.duration = mins(3);
-  t.events = {{secs(10), 0}, {secs(20), 0}, {secs(70), 0}};
+  t.keys = {Trace::pack(secs(10), 0), Trace::pack(secs(20), 0),
+            Trace::pack(secs(70), 0)};
   auto rps = t.invocations_per_second_by_minute();
   ASSERT_EQ(rps.size(), 3u);
   EXPECT_NEAR(rps[0], 2.0 / 60.0, 1e-9);
@@ -84,35 +83,34 @@ TEST(TraceTimeseries, MinuteBuckets) {
 TEST(TraceValid, DetectsUnsortedEvents) {
   auto t = tiny_trace();
   EXPECT_TRUE(t.valid());
-  std::swap(t.events[0], t.events[4]);
+  std::swap(t.keys[0], t.keys[4]);
   EXPECT_FALSE(t.valid());
 }
 
 TEST(TraceValid, DetectsBadFunctionId) {
   auto t = tiny_trace();
-  t.events.push_back({secs(9), 7});
+  t.keys.push_back(Trace::pack(secs(9), 7));
   EXPECT_FALSE(t.valid());
 }
 
-TEST(TraceIo, RoundTrip) {
+TEST(TraceValid, DetectsTiesOutOfFunctionOrder) {
+  // Keys order ties at one microsecond by function id; fn 1 before fn 0 at
+  // the same instant is not a sorted trace.
   auto t = tiny_trace();
-  auto prefix = (std::filesystem::temp_directory_path() / "ilu_trace_test")
-                    .string();
-  save_trace(t, prefix);
-  auto loaded = load_trace(prefix);
-  EXPECT_EQ(loaded.duration, t.duration);
-  ASSERT_EQ(loaded.functions.size(), t.functions.size());
-  EXPECT_EQ(loaded.functions[1].mem_mb, 256u);
-  EXPECT_EQ(loaded.functions[0].warm_time, msecs(100));
-  ASSERT_EQ(loaded.events.size(), t.events.size());
-  EXPECT_EQ(loaded.events[3].at, secs(3));
-  EXPECT_EQ(loaded.events[1].fn, 1u);
-  std::remove((prefix + "_functions.csv").c_str());
-  std::remove((prefix + "_events.csv").c_str());
+  t.keys = {Trace::pack(secs(0), 1), Trace::pack(secs(0), 0)};
+  EXPECT_FALSE(t.valid());
 }
 
-TEST(TraceIo, LoadMissingThrows) {
-  EXPECT_THROW(load_trace("/nonexistent/prefix"), std::runtime_error);
+TEST(TracePackChecked, RejectsOutOfRangeInEveryBuildType) {
+  const auto max_fn = static_cast<FunctionId>(Trace::kMaxFn);
+  const std::uint64_t k = Trace::pack_checked(TimePoint{Trace::kMaxUs}, max_fn);
+  EXPECT_EQ(Trace::key_at(k).count(), Trace::kMaxUs);
+  EXPECT_EQ(Trace::key_fn(k), max_fn);
+  EXPECT_THROW(Trace::pack_checked(TimePoint{Trace::kMaxUs + 1}, 0),
+               std::out_of_range);
+  EXPECT_THROW(Trace::pack_checked(TimePoint{-1}, 0), std::out_of_range);
+  EXPECT_THROW(Trace::pack_checked(TimePoint{0}, max_fn + 1),
+               std::out_of_range);
 }
 
 }  // namespace

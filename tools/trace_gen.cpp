@@ -105,10 +105,10 @@ int main(int argc, char** argv) try {
     }
   }
   if (out_path.empty() || functions == 0 || days <= 0.0) usage(argv[0]);
-  if (functions > TraceArena::kMaxFn + 1) {
+  if (functions > Trace::kMaxFn + 1) {
     std::fprintf(stderr, "--functions %zu exceeds the packed-key limit %llu\n",
                  functions,
-                 static_cast<unsigned long long>(TraceArena::kMaxFn + 1));
+                 static_cast<unsigned long long>(Trace::kMaxFn + 1));
     return 2;
   }
 
