@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     try {
       file.emplace(trace_path);
+      file->verify();  // the strict open leaves the key column unchecked
     } catch (const std::exception& e) {
       std::fprintf(stderr, "trace error: %s\n", e.what());
       return 1;

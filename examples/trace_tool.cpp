@@ -30,8 +30,10 @@ namespace {
 
 int cmd_info(char** argv) {
   ArenaFile f(argv[2]);
-  const EventView events = f.view();
-  auto s = trace_stats(f.functions(), events, f.duration());
+  // The strict open checks the header and function table only; check the
+  // key column before reading any key by function id.
+  f.verify();
+  auto s = trace_stats(f.functions(), f.view(), f.duration());
   std::printf("trace %s (ilu-arena-v1)\n", argv[2]);
   std::printf("  functions:       %zu\n", s.num_functions);
   std::printf("  invocations:     %zu\n", s.num_invocations);
@@ -43,8 +45,7 @@ int cmd_info(char** argv) {
   std::printf("  file size:       %.1f MB (keys mmap'd)\n",
               static_cast<double>(f.file_bytes()) / 1e6);
   // Top-5 functions by invocation count.
-  std::vector<std::size_t> counts(f.functions().size(), 0);
-  for (std::size_t i = 0; i < events.size(); ++i) ++counts[events.fn(i)];
+  const std::vector<std::size_t>& counts = s.invocations_by_function;
   std::vector<std::size_t> idx(counts.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   std::sort(idx.begin(), idx.end(),
@@ -56,7 +57,6 @@ int cmd_info(char** argv) {
                 p.name.c_str(), counts[idx[i]], p.mem_mb, to_ms(p.warm_time),
                 to_ms(p.init_time));
   }
-  f.verify();
   std::printf("  integrity:       OK (keys sorted, fns bounded, checksums "
               "match)\n");
   return 0;
@@ -88,6 +88,7 @@ int cmd_replay(int argc, char** argv) {
   flight::Recorder::instance().clear();
 
   ArenaFile f(argv[2]);
+  f.verify();  // the key column is outside input: check it before replay
   SimRuntime rt;
   WorkerConfig cfg;
   cfg.cores = 48.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -188,9 +189,44 @@ double rate_scale_for_target_events(const AzureTraceModel& model,
                                     const std::vector<std::size_t>& fn_indices,
                                     double target_events) {
   if (target_events <= 0.0) return 1.0;
+  const AzureModelConfig& cfg = model.config();
+  // The generator draws Poisson(60 / iat × diurnal × activity) per function
+  // for each minute of [0, llround(days × 1440)). Weigh each minute of day
+  // by its diurnal factor times how often the window visits it; prefix sums
+  // then give any function's in-window weight in O(1).
+  constexpr std::size_t kDay = 1440;
+  const auto num_minutes =
+      static_cast<std::size_t>(std::llround(cfg.days * 1440.0));
+  std::vector<double> prefix(kDay + 1, 0.0);
+  for (std::size_t d = 0; d < kDay; ++d) {
+    const auto visits = static_cast<double>(num_minutes / kDay +
+                                            (d < num_minutes % kDay ? 1 : 0));
+    prefix[d + 1] = prefix[d] + visits * model.diurnal(static_cast<double>(d));
+  }
+  // Weight of the minutes of day d with lo <= d < hi.
+  auto weight = [&](double lo, double hi) {
+    auto bound = [](double x) {
+      return static_cast<std::size_t>(
+          std::clamp(std::ceil(x), 0.0, static_cast<double>(kDay)));
+    };
+    const std::size_t a = bound(lo);
+    const std::size_t b = bound(hi);
+    return b > a ? prefix[b] - prefix[a] : 0.0;
+  };
+  const double all = prefix[kDay];
+
   double expected = 0.0;
   for (std::size_t idx : fn_indices) {
-    expected += model.population().at(idx).expected_invocations;
+    const AzureFunctionMeta& m = model.population().at(idx);
+    double minutes = all;
+    if (cfg.active_window_median_min > 0.0) {
+      // The active window [start, start + len) wraps past midnight.
+      const double end = m.active_start_min + m.active_len_min;
+      const double active =
+          weight(m.active_start_min, end) + weight(0.0, end - 1440.0);
+      minutes = m.active_boost * active + cfg.inactive_weight * (all - active);
+    }
+    expected += 60.0 / m.mean_iat_s * minutes;
   }
   return expected > 0.0 ? target_events / expected : 1.0;
 }

@@ -58,11 +58,12 @@ ArenaGenStats generate_arena_file(const AzureTraceModel& model,
                                   const ArenaGenConfig& cfg = {});
 
 /// The rate_scale that makes the expected event count of `fn_indices` hit
-/// `target_events`. Analytic (no generation pass): the model's diurnal and
-/// activity modulations both have mean 1 over a day, so the expectation is
-/// rate_scale × Σ expected_invocations. The realized count is one Poisson
-/// draw per (function, minute) around that expectation — within ~0.01% at
-/// 10^8 events.
+/// `target_events`. Analytic (no generation pass): the expectation sums
+/// each function's base rate times its diurnal × activity modulation over
+/// exactly the generated minutes, so it holds for a slice of a day (where
+/// neither modulation averages 1) as well as for whole days. The realized
+/// count is one Poisson draw per (function, minute) around that
+/// expectation — within ~0.01% at 10^8 events.
 double rate_scale_for_target_events(const AzureTraceModel& model,
                                     const std::vector<std::size_t>& fn_indices,
                                     double target_events);

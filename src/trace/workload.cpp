@@ -24,6 +24,16 @@ TraceStats trace_stats(const std::vector<FunctionProfile>& functions,
   TraceStats s;
   s.num_functions = functions.size();
   s.num_invocations = events.size();
+  s.invocations_by_function.assign(functions.size(), 0);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const FunctionId fn = events.fn(i);
+    if (fn >= functions.size()) {
+      throw std::out_of_range("event " + std::to_string(i) +
+                              " names function " + std::to_string(fn) +
+                              " of " + std::to_string(functions.size()));
+    }
+    ++s.invocations_by_function[fn];
+  }
   if (events.empty()) return s;
 
   const Duration observed = events.at(events.size() - 1) - events.at(0);
@@ -36,10 +46,9 @@ TraceStats trace_stats(const std::vector<FunctionProfile>& functions,
   }
 
   // Little's law: per-function arrival rate x warm execution time.
-  std::vector<std::size_t> counts(functions.size(), 0);
-  for (std::size_t i = 0; i < events.size(); ++i) ++counts[events.fn(i)];
   for (std::size_t f = 0; f < functions.size(); ++f) {
-    double rate = static_cast<double>(counts[f]) / to_sec(span);
+    double rate =
+        static_cast<double>(s.invocations_by_function[f]) / to_sec(span);
     s.expected_concurrency += rate * to_sec(functions[f].warm_time);
   }
   return s;

@@ -30,6 +30,8 @@ struct TraceStats {
   /// Little's-law expected number of concurrently running invocations:
   /// sum over functions of (arrival rate x mean warm execution time).
   double expected_concurrency = 0.0;
+  /// Invocations per function id.
+  std::vector<std::size_t> invocations_by_function;
 };
 
 struct Trace {
@@ -107,7 +109,9 @@ class EventView {
 };
 
 /// Statistics of any event stream: Trace::stats(), and `trace_tool info`
-/// over an mmap'd arena without materializing it.
+/// over an mmap'd arena without materializing it. Throws std::out_of_range
+/// on an event whose function id is not in `functions` (a damaged file),
+/// in every build type.
 TraceStats trace_stats(const std::vector<FunctionProfile>& functions,
                        EventView events, Duration duration);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "trace/function_profile.hpp"
 
@@ -51,6 +52,13 @@ TEST(TraceStats, CountsAndRate) {
   EXPECT_NEAR(s.reqs_per_sec, 0.5, 1e-9);  // 5 events over 10 s
   // IAT over the observed span: 4 s across 4 gaps = 1 s.
   EXPECT_EQ(s.avg_iat, secs(1));
+  EXPECT_EQ(s.invocations_by_function, (std::vector<std::size_t>{3, 2}));
+}
+
+TEST(TraceStats, UnknownFunctionThrows) {
+  auto t = tiny_trace();
+  t.keys.push_back(Trace::pack(secs(5), 2));  // only fns 0 and 1 exist
+  EXPECT_THROW(t.stats(), std::out_of_range);
 }
 
 TEST(TraceStats, LittlesLawConcurrency) {
